@@ -151,9 +151,9 @@ type Options = core.Options
 // metrics (tasks = money, rounds = latency) of a run.
 type Result = core.Result
 
-// CacheStats reports the component probability cache's hit/miss/eviction/
-// invalidation counters (Result.Cache); see the prob package for the cache
-// itself.
+// CacheStats is the type of Result.Cache.
+//
+// Deprecated: there is no component cache; every field is always zero.
 type CacheStats = prob.CacheStats
 
 // Platform is the crowdsourcing marketplace interface: one Post call is

@@ -21,7 +21,7 @@
 // incremental sliding-window engine instead of running the crowdsourcing
 // loop: each tick feeds -arrivals rows into a window bounded by -window
 // (count) and/or -span (ticks of age), maintains the c-table and the
-// probability cache by delta, and keeps the window's skyline
+// per-object probabilities by delta, and keeps the window's skyline
 // probabilities current. By default no crowd backend is involved
 // (missing cells keep uniform priors), so -truth/-interactive are not
 // required.
@@ -72,8 +72,7 @@ func main() {
 		alpha       = flag.Float64("alpha", 0.01, "Get-CTable pruning threshold (0 disables)")
 		netPath     = flag.String("net", "", "Bayesian network JSON from cmd/bnlearn (default: learn from the data)")
 		workers     = flag.Int("workers", 0, "goroutines for the parallel phases; 0 = one per CPU, 1 = sequential (results are identical either way)")
-		nocache     = flag.Bool("nocache", false, "disable the component probability cache (results are identical either way)")
-		cacheSize   = flag.Int("cachesize", 0, "max memoized components; 0 = default bound")
+		nocache     = flag.Bool("nocache", false, "score candidate tasks by full-formula probes instead of the component scan (results are identical either way)")
 		approxThr   = flag.Int("approxthreshold", 0, "estimate components with more than this many variables by sampling (deterministic, ~0.05 absolute error); 0 = always exact")
 		dropProb    = flag.Float64("dropprob", 0, "fault injection: per-task probability the answer is dropped")
 		outageProb  = flag.Float64("outageprob", 0, "fault injection: per-round probability the platform fails outright")
@@ -177,7 +176,7 @@ func main() {
 		}
 		err := runStream(data, streamFlags{
 			window: *window, span: *span, arrivals: *arrivals, topk: *topk,
-			workers: *workers, noCache: *nocache, cacheSize: *cacheSize,
+			workers: *workers, noCache: *nocache,
 			verbose: *verbose,
 			budget:  *crowdBudget, deadline: *deadline, perTick: *perTick,
 			strategy: strat, m: *m,
@@ -227,7 +226,6 @@ func main() {
 		M:               *m,
 		Workers:         *workers,
 		NoCache:         *nocache,
-		CacheSize:       *cacheSize,
 		ApproxThreshold: *approxThr,
 		MaxRetries:      *maxRetries,
 		RetryBackoff:    *backoff,
@@ -331,14 +329,13 @@ func main() {
 
 // streamFlags bundles the -stream mode's knobs.
 type streamFlags struct {
-	window    int
-	span      int64
-	arrivals  int
-	topk      int
-	workers   int
-	noCache   bool
-	cacheSize int
-	verbose   bool
+	window   int
+	span     int64
+	arrivals int
+	topk     int
+	workers  int
+	noCache  bool
+	verbose  bool
 	// Crowd loop knobs; budget 0 keeps the stream machine-only.
 	budget   int
 	deadline int
@@ -358,14 +355,12 @@ type streamFlags struct {
 func runStream(data *bayescrowd.Dataset, f streamFlags, platform *bayescrowd.UnreliableCrowd, rng *rand.Rand, rec *bayescrowd.TraceRecorder, registry *bayescrowd.MetricsRegistry) error {
 	cfg := stream.CrowdConfig{
 		Config: stream.Config{
-			Attrs:     data.Attrs,
-			Window:    stream.Window{Count: f.window, Span: f.span},
-			TopK:      f.topk,
-			Workers:   f.workers,
-			NoCache:   f.noCache,
-			CacheSize: f.cacheSize,
-			Obs:       rec,
-			Metrics:   registry,
+			Attrs:   data.Attrs,
+			Window:  stream.Window{Count: f.window, Span: f.span},
+			TopK:    f.topk,
+			Workers: f.workers,
+			Obs:     rec,
+			Metrics: registry,
 		},
 		Budget:       f.budget,
 		TasksPerTick: f.perTick,
@@ -373,6 +368,7 @@ func runStream(data *bayescrowd.Dataset, f streamFlags, platform *bayescrowd.Unr
 		Strategy:     f.strategy,
 		M:            f.m,
 		Rng:          rng,
+		NoCache:      f.noCache,
 	}
 	if platform != nil {
 		cfg.Platform = platform

@@ -41,7 +41,7 @@ func main() {
 		scaleFlag = flag.String("scale", "quick", `experiment scale: "quick" or "paper"`)
 		allFlag   = flag.Bool("all", false, "run every experiment")
 		listFlag  = flag.Bool("list", false, "list experiment ids and exit")
-		noCache   = flag.Bool("nocache", false, "disable the component probability cache in measured runs (the cache experiment always measures both modes)")
+		noCache   = flag.Bool("nocache", false, "score candidates by full-formula probes instead of the component scan in measured runs (the cache experiment always measures both modes)")
 		jsonFlag  = flag.String("json", "", "write the run's metrics as a JSON report to this file")
 		baseFlag  = flag.String("baseline", "", "compare the run's metrics against this committed report; regressions exit non-zero")
 		tolFlag   = flag.Float64("tolerance", 0.20, "relative tolerance band for -baseline (0.20 = fail below 80% of baseline)")

@@ -8,9 +8,10 @@
 //     (OS-seeded) math/rand, time-derived seeds, and map-iteration-order
 //     leaks into outputs are forbidden there (PR 1's worker-pool
 //     guarantee, PR 3's reproducible-faults guarantee).
-//   - singlewriter: prob.Evaluator and prob.ComponentCache mutation is
-//     single-writer-only; only the documented owners may write their
-//     fields or call their mutating methods (PR 2's cache contract).
+//   - singlewriter: prob.Evaluator, ctable.DynCTable and
+//     ctable.Knowledge mutation is single-writer-only; only the
+//     documented owners may write their fields or call their mutating
+//     methods.
 //   - errdrop: discarded error results, with crowd.Platform.Post and
 //     ctable.Knowledge.Absorb as must-check even when a partial result
 //     is also returned (PR 3's fallible-platform contract).

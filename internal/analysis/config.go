@@ -93,7 +93,6 @@ func RepoConfig(modulePath string) *Config {
 		},
 		GuardedTypes: []string{
 			p("internal/prob") + ".Evaluator",
-			p("internal/prob") + ".ComponentCache",
 			p("internal/ctable") + ".DynCTable",
 			// Knowledge is mutated only between fan-outs (Absorb after a
 			// crowd round, Forget on eviction); it has no mutex by design,
@@ -101,7 +100,6 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/ctable") + ".Knowledge",
 		},
 		MutatingMethods: []string{
-			p("internal/prob") + ".ComponentCache.Invalidate",
 			p("internal/ctable") + ".Knowledge.Absorb",
 			p("internal/ctable") + ".Knowledge.Forget",
 		},

@@ -21,9 +21,9 @@ import (
 // intersection), and a fixpoint over the call graph computes the locks
 // held on entry of every function as the intersection over its call
 // sites — so a helper only ever called with the shard mutex held (the
-// cache's compactFIFO pattern) needs no annotation of its own, while a
-// new lock-free call site of that helper immediately turns every
-// guarded access inside it into a finding. Thunks handed to the worker
+// lockcheck fixture's Shard.compact pattern) needs no annotation of its
+// own, while a new lock-free call site of that helper immediately turns
+// every guarded access inside it into a finding. Thunks handed to the worker
 // pool, go statements and deferred calls enter with no locks held: a
 // guarded access inside a pool closure is flagged even when the
 // submitter held the lock, because the worker goroutine does not.

@@ -6,17 +6,17 @@ import (
 	"strings"
 )
 
-// SingleWriterAnalyzer enforces the Evaluator/ComponentCache mutation
-// contract (prob.go, cache.go): distributions are renormalised and the
-// cache invalidated only in the single-writer gaps between parallel
-// fan-outs, and only by the documented owners — internal/core's crowd
-// phase and internal/prob itself. Any other package writing a guarded
-// type's fields, storing into its maps, or calling its mutating methods
-// is one refactor away from a data race the race detector only catches
-// when the schedule cooperates, so the linter catches it always.
+// SingleWriterAnalyzer enforces the single-writer mutation contract of
+// the guarded types (prob.Evaluator's doc states it): distributions are
+// renormalised, and knowledge absorbed, only in the single-writer gaps
+// between parallel fan-outs, and only by the documented owner packages.
+// Any other package writing a guarded type's fields, storing into its
+// maps, or calling its mutating methods is one refactor away from a data
+// race the race detector only catches when the schedule cooperates, so
+// the linter catches it always.
 var SingleWriterAnalyzer = &Analyzer{
 	Name: "singlewriter",
-	Doc:  "flag mutation of prob.Evaluator/ComponentCache outside their documented owner packages",
+	Doc:  "flag mutation of prob.Evaluator and the other guarded types outside their documented owner packages",
 	Run:  runSingleWriter,
 }
 
@@ -46,7 +46,7 @@ func runSingleWriter(pass *Pass) {
 }
 
 // checkGuardedWrite flags assignments whose target reaches through a
-// guarded type: a field write (ev.Cache = …) or a store into a guarded
+// guarded type: a field write (ev.Opt = …) or a store into a guarded
 // type's map/slice field (ev.Dists[v] = …).
 func checkGuardedWrite(pass *Pass, info *types.Info, lhs ast.Expr, owners string) {
 	for {
@@ -70,7 +70,7 @@ func checkGuardedWrite(pass *Pass, info *types.Info, lhs ast.Expr, owners string
 }
 
 // checkMutatingCall flags calls to configured mutating methods of
-// guarded types (e.g. ComponentCache.Invalidate) from non-owners.
+// guarded types (e.g. Knowledge.Absorb) from non-owners.
 func checkMutatingCall(pass *Pass, info *types.Info, call *ast.CallExpr, owners string) {
 	fn := calleeFunc(info, call)
 	if fn == nil {

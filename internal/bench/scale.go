@@ -63,9 +63,9 @@ type Scale struct {
 	Workers      int
 	WorkerCounts []int
 
-	// NoCache disables the component probability cache in every measured
-	// run (core.Options.NoCache) — the "cache" experiment ignores it and
-	// always measures both modes.
+	// NoCache scores candidates by full-formula probes instead of the
+	// component scan in every measured run (core.Options.NoCache) — the
+	// "cache" experiment ignores it and always measures both modes.
 	NoCache bool
 
 	// DropRates is the per-task answer-drop sweep of the "faults"

@@ -14,8 +14,7 @@ import (
 //
 // The caller owns the surrounding single-writer discipline: Absorb
 // mutates Know and Eff, so it must only run in the sequential gaps
-// between Pr(φ) fan-outs, and any component cache must be invalidated
-// for the DistChanged variables before the next fan-out reads Eff.
+// between Pr(φ) fan-outs.
 type Absorption struct {
 	// Know accumulates the answers.
 	Know *ctable.Knowledge
@@ -25,10 +24,10 @@ type Absorption struct {
 	Base prob.Dists
 	Eff  prob.Dists
 	// Touched collects every variable an absorbed answer mentioned —
-	// the conditions to re-simplify. DistChanged collects the subset
-	// whose effective distribution was renormalised — the cache epochs
-	// to bump and the probabilities to recompute even where the
-	// condition's structure did not change.
+	// the conditions to re-simplify. DistChanged, when non-nil, collects
+	// the subset whose effective distribution was renormalised — the
+	// probabilities to recompute even where the condition's structure
+	// did not change.
 	Touched     map[ctable.Var]bool
 	DistChanged map[ctable.Var]bool
 
@@ -53,7 +52,9 @@ func (ab *Absorption) Absorb(e ctable.Expr, rel ctable.Rel) error {
 		v := e.X
 		lo, hi := ab.Know.Bounds(v)
 		ab.Eff[v] = conditionDist(ab.Base[v], lo, hi)
-		ab.DistChanged[v] = true
+		if ab.DistChanged != nil {
+			ab.DistChanged[v] = true
+		}
 	}
 	return nil
 }

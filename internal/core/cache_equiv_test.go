@@ -8,13 +8,12 @@ import (
 
 	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/dataset"
-	"bayescrowd/internal/prob"
 )
 
-// TestCacheEquivalence is the component cache's correctness gate: full
-// framework runs with the cache on and off, over identical datasets,
-// seeds, and strategies, must produce identical answer sets and final
-// probabilities within 1e-12. The cached mode scores UBS/HHS candidates
+// TestCacheEquivalence is Options.NoCache's correctness gate: full
+// framework runs with and without it, over identical datasets, seeds,
+// and strategies, must produce identical answer sets and final
+// probabilities within 1e-12. The default scores UBS/HHS candidates
 // through the incremental component scan while NoCache re-solves the full
 // formula per candidate (the legacy cost profile the cache experiment
 // compares against); the two factor the same product in a different
@@ -42,12 +41,6 @@ func TestCacheEquivalence(t *testing.T) {
 			}
 
 			cached, plain := run(false), run(true)
-			if cached.Cache.Hits == 0 {
-				t.Errorf("%v seed %d: cached run recorded no cache hits: %+v", strat, seed, cached.Cache)
-			}
-			if plain.Cache != (prob.CacheStats{}) {
-				t.Errorf("%v seed %d: NoCache run reports cache activity: %+v", strat, seed, plain.Cache)
-			}
 			if !reflect.DeepEqual(cached.Answers, plain.Answers) {
 				t.Errorf("%v seed %d: answer sets differ between cache on and off\n on:  %v\n off: %v",
 					strat, seed, cached.Answers, plain.Answers)
@@ -66,29 +59,5 @@ func TestCacheEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCacheInvalidationWired checks the run loop actually invalidates: a
-// run whose crowd answers renormalise distributions must report bumped
-// variables, and the final probabilities must match the uncached truth —
-// i.e. no stale component survived an answer (the dangerous failure mode
-// a cache can introduce).
-func TestCacheInvalidationWired(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	truth := dataset.GenNBA(rng, 200)
-	d := truth.InjectMissing(rng, 0.25)
-	res, err := Run(d, crowd.NewSimulated(truth, 1.0, nil), Options{
-		Alpha: 0.05, Budget: 40, Latency: 5, Strategy: UBS,
-		MarginalsOnly: true, Workers: 1, Rng: rand.New(rand.NewSource(2)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache.Invalidated == 0 {
-		t.Fatalf("run absorbed %d tasks but invalidated no variables: %+v", res.TasksPosted, res.Cache)
-	}
-	if res.Cache.Hits == 0 {
-		t.Fatalf("run recorded no cache hits: %+v", res.Cache)
 	}
 }

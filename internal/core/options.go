@@ -113,16 +113,13 @@ type Options struct {
 	// the benchmark harness's in-run speedup measurement.
 	LegacyProb bool
 
-	// NoCache disables the connected-component probability cache the
-	// crowdsourcing phase keeps across Pr(φ) evaluations (see
-	// prob.ComponentCache) — the cache ablation. Cached and uncached runs
-	// return bit-identical results; the cache changes only wall-clock
-	// time.
+	// NoCache scores UBS/HHS candidates by full-formula Pr(φ∧e) probes
+	// (prob.Evaluator.CondProbsWith) instead of the per-condition
+	// component scan (prob.CondScan), which re-solves only the component
+	// a candidate touches. The two agree within 1e-12 and give the same
+	// answers; NoCache changes only wall-clock time. The name is shared
+	// with the CLI's -nocache flag and the daemon's noCache field.
 	NoCache bool
-	// CacheSize bounds the component cache to at most this many memoized
-	// components; <= 0 (the zero value) selects prob.DefaultCacheSize.
-	// Ignored when NoCache is set.
-	CacheSize int
 
 	// Workers bounds the goroutines the framework fans independent work
 	// out to: the c-table dominator scan and CNF construction, the
@@ -132,10 +129,7 @@ type Options struct {
 	// 1 runs every phase exactly as the sequential implementation did.
 	// Results are bit-identical at any setting — each unit of work is
 	// computed wholly by one worker and merged in a fixed index order, so
-	// parallelism changes only wall-clock time. (The one exception is the
-	// Result.Cache hit/miss counters, which depend on scheduling: two
-	// workers may both miss a component that one worker would compute
-	// once and then hit. The cached values themselves are identical.)
+	// parallelism changes only wall-clock time.
 	Workers int
 
 	// MaxRetries bounds how many times a round whose Post call failed
@@ -164,7 +158,7 @@ type Options struct {
 
 	// Trace, when non-nil, receives the run's typed trace events (see
 	// internal/obs): round boundaries, entropy rankings, strategy picks,
-	// task lifecycle, conflicts, cache invalidations, degradation. Events
+	// task lifecycle, conflicts, degradation. Events
 	// are emitted only from the run's sequential single-writer sections
 	// and are stamped by the Recorder's logical clock, so a seeded run
 	// traces byte-identically at any Workers setting. The Recorder is
@@ -174,10 +168,9 @@ type Options struct {
 	// Metrics, when non-nil, receives the run's scheduling-dependent
 	// numbers as monotonic counters and duration histograms (see
 	// internal/obs.Registry): per-round select/prob/round wall times,
-	// component-cache hit/miss/eviction/invalidation deltas, and task
-	// tallies. These are deliberately kept out of the trace — they vary
-	// with goroutine scheduling. nil — the default — disables metrics at
-	// zero cost.
+	// approx-fallback component counts, and task tallies. These are
+	// deliberately kept out of the trace — they vary with goroutine
+	// scheduling. nil — the default — disables metrics at zero cost.
 	Metrics *obs.Registry
 
 	// Rng drives tie-breaking; defaults to a fixed seed.
@@ -272,18 +265,18 @@ type Result struct {
 	// CTable is the final conditional table after all answers were
 	// absorbed, for inspection and reporting.
 	CTable *ctable.CTable
-	// Cache reports the component cache's hit/miss/eviction/invalidation
-	// counters for the run (all zero under Options.NoCache).
+	// Cache is always zero.
+	//
+	// Deprecated: there is no component cache to count; the field
+	// remains only for readers that still print it.
 	Cache prob.CacheStats
 	// ApproxComponents counts the connected components whose probability
 	// was estimated by the ApproxCount fallback rather than counted
-	// exactly (always zero unless Options.ApproxThreshold is set). Like
-	// the cache counters, the count depends on scheduling when the
-	// component cache is shared — the estimated values themselves do not.
+	// exactly (always zero unless Options.ApproxThreshold is set).
 	ApproxComponents int64
 	// SelectTime and ProbTime break the crowdsourcing phase's wall time
 	// into its two model-counting bills: cumulative task selection (the
-	// UBS/HHS candidate scoring the component cache accelerates) and
+	// UBS/HHS candidate scoring) and
 	// cumulative Pr(φ) maintenance (the initial fan-out plus the per-round
 	// stale recomputation). They are measured around sequential sections
 	// of the round loop, so they are safe at any worker count.

@@ -12,16 +12,14 @@ import (
 	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/dataset"
-	"bayescrowd/internal/prob"
 )
 
 // stripVolatile zeroes the Result fields that legitimately differ between
-// two otherwise identical runs: wall-clock durations, the scheduling-
-// dependent cache counters, and the c-table pointer.
+// two otherwise identical runs: wall-clock durations and the c-table
+// pointer.
 func stripVolatile(r *Result) *Result {
 	c := *r
 	c.SelectTime, c.ProbTime, c.BackoffTime = 0, 0, 0
-	c.Cache = prob.CacheStats{}
 	c.CTable = nil
 	return &c
 }

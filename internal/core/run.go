@@ -67,26 +67,20 @@ func RunCrowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platf
 func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
 	// The recorder and registry are the run's two observability channels:
 	// deterministic events to rec (single-writer sections only), and
-	// scheduling-dependent numbers — durations, cache deltas — to reg.
+	// scheduling-dependent numbers — durations, approx counts — to reg.
 	// Both are nil-safe no-ops when disabled.
 	rec := opt.Trace
 	reg := opt.Metrics
 	rec.Emit(obs.Event{Kind: obs.KindRunStart, N: opt.Budget, M: opt.Latency, Note: opt.Strategy.String()})
 	var (
-		hSelect      = reg.Histogram("select.duration")
-		hProb        = reg.Histogram("prob.duration")
-		hRound       = reg.Histogram("round.duration")
-		cRounds      = reg.Counter("rounds")
-		cPosted      = reg.Counter("tasks.posted")
-		cAnswered    = reg.Counter("tasks.answered")
-		cCacheHits   = reg.Counter("cache.hits")
-		cCacheMisses = reg.Counter("cache.misses")
-		cCacheEvict  = reg.Counter("cache.evicted")
-		cCacheInval  = reg.Counter("cache.invalidated")
-		cCacheInvalE = reg.Counter("cache.invalidated.entries")
-		cApprox      = reg.Counter("prob.approx.components")
+		hSelect   = reg.Histogram("select.duration")
+		hProb     = reg.Histogram("prob.duration")
+		hRound    = reg.Histogram("round.duration")
+		cRounds   = reg.Counter("rounds")
+		cPosted   = reg.Counter("tasks.posted")
+		cAnswered = reg.Counter("tasks.answered")
+		cApprox   = reg.Counter("prob.approx.components")
 	)
-	var prevCache prob.CacheStats
 	var prevApprox int64
 
 	know := ctable.NewKnowledge(d)
@@ -99,25 +93,13 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 		eff[v] = dist
 	}
 	ev := &prob.Evaluator{Dists: eff, Opt: prob.Options{
-		NoCache:         opt.NoCache,
 		ApproxThreshold: opt.ApproxThreshold,
 		LegacyEngine:    opt.LegacyProb,
 	}}
-	if !opt.NoCache {
-		// The component cache persists across every Pr(φ) evaluation of
-		// the run — the initial fan-out, the UBS/HHS candidate scans, and
-		// the cross-round stale recomputation — and is invalidated
-		// per-variable below, right where crowd answers renormalise
-		// distributions.
-		ev.Cache = prob.NewComponentCache(opt.CacheSize)
-	}
 	// core is the single writer that owns the evaluator; it hands the
 	// recorder down so prob's sequential dispatch points (ProbAll,
-	// PlanSweeps, Invalidate) can trace their deterministic sizes.
+	// PlanSweeps) can trace their deterministic sizes.
 	ev.Obs = rec
-	if ev.Cache != nil {
-		ev.Cache.Obs = rec
-	}
 
 	result := &Result{}
 	remaining := opt.Budget
@@ -157,7 +139,6 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 	touched := map[ctable.Var]bool{}
 	distChanged := map[ctable.Var]bool{}
 	seen := map[int]bool{}
-	var changedVars []ctable.Var
 	var stale []int
 	var staleConds []*ctable.Condition
 
@@ -348,20 +329,6 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 			}
 		}
 
-		// A renormalised distribution stales every memoized component
-		// mentioning its variable. This is the single-writer gap between
-		// fan-outs, exactly where the cache's Invalidate contract wants
-		// the call; merely-rewritten conditions need no bump — their
-		// components' fingerprints change, so stale entries can't be hit.
-		if ev.Cache != nil && len(distChanged) > 0 {
-			changedVars = changedVars[:0]
-			for v := range distChanged {
-				//lint:ignore determinism Invalidate bumps per-variable epochs; the bump set matters, its order does not
-				changedVars = append(changedVars, v)
-			}
-			ev.Cache.Invalidate(changedVars...)
-		}
-
 		// Re-simplify exactly the conditions that mention a touched
 		// variable, and recompute Pr only where the condition actually
 		// changed or a referenced distribution did. Simplification and
@@ -419,18 +386,9 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 		hProb.Observe(roundProbDur)
 
 		// Close the round on both channels: the deterministic charge and
-		// undecided count to the trace, the scheduling-dependent cache
-		// deltas and wall time to the registry.
+		// undecided count to the trace, the approx-fallback delta and
+		// wall time to the registry.
 		rec.Emit(obs.Event{Kind: obs.KindRoundEnd, N: charged, M: len(probs)})
-		if reg != nil && ev.Cache != nil {
-			s := ev.Cache.Stats()
-			cCacheHits.Add(int64(s.Hits - prevCache.Hits))
-			cCacheMisses.Add(int64(s.Misses - prevCache.Misses))
-			cCacheEvict.Add(int64(s.Evicted - prevCache.Evicted))
-			cCacheInval.Add(int64(s.Invalidated - prevCache.Invalidated))
-			cCacheInvalE.Add(int64(s.InvalidatedEntries - prevCache.InvalidatedEntries))
-			prevCache = s
-		}
 		if reg != nil {
 			n := ev.ApproxComponents()
 			cApprox.Add(n - prevApprox)
@@ -489,18 +447,6 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 	sort.Ints(answers)
 	result.Answers = answers
 	result.CTable = ct
-	if ev.Cache != nil {
-		result.Cache = ev.Cache.Stats()
-		if reg != nil {
-			// Publish whatever accrued since the last per-round delta
-			// (e.g. when the loop exited before a round completed).
-			cCacheHits.Add(int64(result.Cache.Hits - prevCache.Hits))
-			cCacheMisses.Add(int64(result.Cache.Misses - prevCache.Misses))
-			cCacheEvict.Add(int64(result.Cache.Evicted - prevCache.Evicted))
-			cCacheInval.Add(int64(result.Cache.Invalidated - prevCache.Invalidated))
-			cCacheInvalE.Add(int64(result.Cache.InvalidatedEntries - prevCache.InvalidatedEntries))
-		}
-	}
 	result.ApproxComponents = ev.ApproxComponents()
 	if reg != nil {
 		cApprox.Add(result.ApproxComponents - prevApprox)

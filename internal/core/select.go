@@ -153,10 +153,10 @@ func pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi floa
 		// fan out wholesale over a component scan of the condition —
 		// each candidate re-solves only the component holding its
 		// variables, with the rest of the formula contributing the scan's
-		// precomputed (and usually cache-served) product. Under NoCache
-		// the legacy path re-solves the whole formula per candidate; the
-		// two paths agree within 1e-12 (they factor the same product in a
-		// different order), and the cache ablation measures their gap.
+		// precomputed product. Under NoCache the legacy path re-solves the
+		// whole formula per candidate; the two paths agree within 1e-12
+		// (they factor the same product in a different order), and the
+		// cache experiment measures their gap.
 		// The argmax scan below visits the scores in the same order as
 		// the sequential loop did.
 		gains := utilitiesFor(opt, ev, cond, avail, pPhi)
@@ -211,8 +211,8 @@ func pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi floa
 
 // utilitiesFor scores every candidate expression: through a component
 // scan of the condition by default (one small re-solve per candidate),
-// or through full-formula probes under the NoCache ablation (the legacy
-// cost profile the cache experiment compares against).
+// or through full-formula probes under Options.NoCache (the legacy cost
+// profile the cache experiment compares against).
 func utilitiesFor(opt Options, ev *prob.Evaluator, cond *ctable.Condition, avail []ctable.Expr, pPhi float64) []float64 {
 	if opt.NoCache {
 		return UtilitiesWith(ev, cond, avail, pPhi, opt.Workers)

@@ -17,10 +17,10 @@ import (
 // Identity: every inserted object receives a monotonically increasing
 // stream id, and its c-table variables are numbered Var{id, attr}. Ids
 // are never reused, so a variable's identity survives any interleaving
-// of inserts and evictions — which is what lets a prob.ComponentCache's
-// per-variable epochs and a Knowledge's intervals ride across edits
-// without aliasing. Internally objects occupy recycled *slots* of a
-// DynDomIndex bit universe; slots are invisible to callers.
+// of inserts and evictions — which is what lets a Knowledge's intervals
+// and an evaluator's distributions ride across edits without aliasing.
+// Internally objects occupy recycled *slots* of a DynDomIndex bit
+// universe; slots are invisible to callers.
 //
 // Maintenance: Insert(cells) derives the new object's dominator set with
 // one d-way AND over the live per-dimension index (the updatable form of
@@ -221,8 +221,8 @@ func (t *DynCTable) Insert(cells []dataset.Cell) (id int, vars []Var) {
 // is retracted from every live object it possibly dominated (patching
 // their expressions back to what a fresh build over the remaining window
 // would emit). It returns the evicted object's c-table variables so the
-// caller can invalidate cached components and forget crowd knowledge
-// about them; every patched object is marked dirty.
+// caller can drop their distributions and forget crowd knowledge about
+// them; every patched object is marked dirty.
 func (t *DynCTable) Evict(id int) (vars []Var) {
 	slot := t.mustSlot(id)
 	s := &t.slots[slot]

@@ -7,8 +7,8 @@ import "encoding/binary"
 // injective (distinct expressions yield distinct bytes) and stable across
 // processes — it depends only on the expression's fields, never on map
 // iteration order or pointer identity — which is what makes it usable as
-// a building block for cache fingerprints (internal/prob's component
-// cache keys concatenate these encodings in canonical order).
+// a building block for fingerprints (internal/prob's component keys
+// concatenate these encodings in canonical order).
 //
 // Layout: one kind byte, then the left variable as two uvarints, then
 // either the right variable (VarGTVar) or the constant as uvarints. The

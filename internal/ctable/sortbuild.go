@@ -33,14 +33,14 @@ import (
 // O(n·d + n log n) for the grouping plus O(prefixes · n/64) bitset work —
 // near-linearithmic in n, against quadratic for the per-object scan.
 //
-// The derived table is bit-identical to the per-object path: a group's
-// intersection always contains every member (each member's observed cells
-// satisfy "≥ value or missing" against its own signature), so |D(o)| is
-// the group count minus one for the object itself, and condition clauses
-// are emitted in the same ascending-dominator order ForEach used before,
-// with the self bit skipped instead of cleared. Equivalence tests in
-// sortbuild_test.go pin this against both the per-object and pairwise
-// paths.
+// The derived table is bit-identical to a per-object derivation
+// (DomIndex.Dominators for every object): a group's intersection always
+// contains every member (each member's observed cells satisfy "≥ value
+// or missing" against its own signature), so |D(o)| is the group count
+// minus one for the object itself, and condition clauses are emitted in
+// the same ascending-dominator order ForEach used before, with the self
+// bit skipped instead of cleared. Equivalence tests in
+// sortbuild_test.go pin this against the pairwise path.
 
 // sigOf writes object o's cell signature into dst: the observed value per
 // attribute, or sigMissing for a missing cell.

@@ -30,7 +30,7 @@ func assertSameTable(t *testing.T, label string, got, want *CTable) {
 }
 
 // TestSortedBuildEquivalence pins the sorted/partitioned build against the
-// per-object and pairwise derivations across dataset shapes chosen to
+// pairwise derivation across dataset shapes chosen to
 // stress the grouping: heavy duplication (few levels), no duplication
 // (distinct rows), all-missing columns, zero and saturating missing rates,
 // and both pruning regimes.
@@ -64,12 +64,10 @@ func TestSortedBuildEquivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				d := c.gen(rand.New(rand.NewSource(seed)))
-				perObject := Build(d, BuildOptions{Alpha: c.alpha, PerObject: true, Workers: 1})
 				pairwise := Build(d, BuildOptions{Alpha: c.alpha, Pairwise: true, Workers: 1})
-				assertSameTable(t, c.name+"/pairwise-vs-perobject", pairwise, perObject)
 				for _, workers := range []int{1, 2, 7, 32} {
 					sorted := Build(d, BuildOptions{Alpha: c.alpha, Workers: workers})
-					assertSameTable(t, c.name+"/sorted", sorted, perObject)
+					assertSameTable(t, c.name+"/sorted", sorted, pairwise)
 				}
 			}
 		})

@@ -9,9 +9,9 @@
 // batch sizes, selected tasks, absorbed relations, fan-out sizes — and
 // are emitted exclusively from single-writer sequential sections, so a
 // seeded run produces a byte-identical trace at any worker count.
-// Scheduling-dependent quantities — cache hits and misses, pool fan-out
-// tallies, wall-clock durations — go to the Registry as counters and
-// histograms instead, and never into the trace. Event timestamps are the
+// Scheduling-dependent quantities — pool fan-out tallies, wall-clock
+// durations — go to the Registry as counters and histograms instead,
+// and never into the trace. Event timestamps are the
 // Recorder's logical (Seq, Round) clock, never wall time, which keeps
 // the bayeslint determinism analyzer clean by construction.
 //
@@ -86,9 +86,6 @@ const (
 	// KindFaultSpam reports an injected spammer answer: Task =
 	// expression, Rel = the random relation substituted.
 	KindFaultSpam Kind = "fault.spam"
-	// KindCacheInvalidate reports a component-cache invalidation in the
-	// single-writer gap: N = variables whose epoch was bumped.
-	KindCacheInvalidate Kind = "cache.invalidate"
 	// KindProbFanout reports a Pr(φ) evaluation fan-out: N = conditions
 	// evaluated.
 	KindProbFanout Kind = "prob.fanout"
@@ -138,7 +135,7 @@ const (
 // (a logical clock — no wall time anywhere in an event); the remaining
 // fields are the emitting site's payload, with unused fields left zero.
 // Every payload is deterministic under a fixed seed: an Event never
-// carries a duration, a cache statistic, or anything else that depends
+// carries a duration, a pool statistic, or anything else that depends
 // on goroutine scheduling.
 type Event struct {
 	// Seq is the 1-based position of the event in the run's trace.

@@ -17,7 +17,7 @@ import (
 // unconditionally.
 //
 // Counters and histograms live here precisely because they are NOT
-// deterministic: cache hit/miss tallies, pool fan-out counts and wall
+// deterministic: approx-fallback tallies, pool fan-out counts and wall
 // durations all depend on goroutine scheduling, so they are kept out of
 // the trace (see Event) and reported separately.
 type Registry struct {

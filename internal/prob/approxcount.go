@@ -54,24 +54,20 @@ func clone2(clauses [][]ctable.Expr) [][]ctable.Expr {
 
 // approxComponent is the ApproxThreshold fallback of componentProb: one
 // telescoping estimate over a connected component too wide for exact
-// counting, seeded from the component's canonical cache key. Seeding from
-// the fingerprint — never from a shared, schedule-consumed source — is
-// what keeps the estimate a pure function of the component, and thus
-// identical at any worker count or cache state.
-func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
-	samples := s.opt.ApproxSamples
-	if samples <= 0 {
-		samples = DefaultApproxSamples
-	}
+// counting, seeded from the fingerprint of the canonically ordered
+// component. Seeding from the fingerprint — never from a shared,
+// schedule-consumed source — is what keeps the estimate a pure function
+// of the component, and thus identical at any worker count.
+func (s *solver) approxComponent(comp [][]cexpr) float64 {
 	// FNV-1a over the canonical key.
 	h := uint64(14695981039346656037)
-	for _, b := range key {
+	for _, b := range s.fingerprint(comp) {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
 	rng := rand.New(rand.NewSource(int64(h)))
 	s.nApprox++
-	return s.approxCount(comp, samples, rng)
+	return s.approxCount(comp, DefaultApproxSamples, rng)
 }
 
 // approxCount runs one telescoping estimate over the solver's interned

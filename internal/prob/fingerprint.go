@@ -7,18 +7,14 @@ import (
 	"bayescrowd/internal/ctable"
 )
 
-// Component fingerprints. A connected clause component's probability is a
-// pure function of its expression structure and the distributions of its
-// variables, so it can be memoized under a canonical encoding: sort the
-// expressions of each clause, then the clauses themselves, by the stable
-// total order of ctable.Expr.Compare, and concatenate the stable binary
-// encodings (ctable.Expr.AppendKey) with a per-clause length prefix. The
-// sort runs in place, so after fingerprinting the component is in
-// canonical order and the solver branches on exactly the clause order the
-// key describes — the memoized value is a pure function of the key, bit
-// for bit, regardless of the clause order this particular occurrence
-// arrived in. Distribution changes are not part of the key; they are
-// tracked by the cache's per-variable epochs (ComponentCache.Invalidate).
+// Canonical component order. Sort the expressions of each clause, then
+// the clauses themselves, by the stable total order of
+// ctable.Expr.Compare: the solver then branches on the same clause order
+// whatever order a component's clauses arrived in, so its probability is
+// a pure function of the component, bit for bit. The fingerprint is the
+// concatenation of the sorted expressions' stable binary encodings
+// (ctable.Expr.AppendKey) with a per-clause length prefix; the
+// ApproxThreshold fallback seeds its estimator from it.
 
 // realExpr reconstructs the caller-level expression of an interned one,
 // using the solver's reverse variable table.
@@ -42,27 +38,25 @@ func (s *solver) cmpClause(a, b []cexpr) int {
 	return len(a) - len(b)
 }
 
-// Key domain prefixes: scalar component-probability entries and joint
-// marginal sweep-vector entries live in disjoint key spaces, so the
-// two kinds can never alias even though sweep keys are a component key
-// plus a variable suffix.
-const (
-	scalarKeyPrefix = 'P'
-	sweepKeyPrefix  = 'S'
-)
+// keyPrefix leads every fingerprint. The approx fallback hashes the
+// whole key into its seed, so changing the prefix changes every
+// estimate.
+const keyPrefix = 'P'
 
-// fingerprint sorts the component into canonical order (in place — the
+// canonicalize sorts the component into canonical order in place. The
 // clause slices are either simplify's per-evaluation scratch or
-// newSolverGroups' fresh interned copies, never caller-owned conditions)
-// and returns its cache key under the given domain prefix. The key
-// aliases solver scratch: it is valid until the next fingerprint call and
-// must be copied to be retained (ComponentCache does so on store).
-func (s *solver) fingerprint(comp [][]cexpr, prefix byte) []byte {
+// newSolverGroups' fresh interned copies, never caller-owned conditions.
+func (s *solver) canonicalize(comp [][]cexpr) {
 	for _, cl := range comp {
 		slices.SortFunc(cl, s.cmpExpr)
 	}
 	slices.SortFunc(comp, s.cmpClause)
-	key := append(s.keyBuf[:0], prefix)
+}
+
+// fingerprint returns the key of a canonicalized component. The key
+// aliases solver scratch: it is valid until the next fingerprint call.
+func (s *solver) fingerprint(comp [][]cexpr) []byte {
+	key := append(s.keyBuf[:0], keyPrefix)
 	for _, cl := range comp {
 		key = binary.AppendUvarint(key, uint64(len(cl)))
 		for _, e := range cl {
@@ -74,7 +68,7 @@ func (s *solver) fingerprint(comp [][]cexpr, prefix byte) []byte {
 }
 
 // componentVars returns the distinct variables of the component, in
-// scratch reused across calls (ComponentCache.store copies).
+// scratch reused across calls.
 func (s *solver) componentVars(comp [][]cexpr) []ctable.Var {
 	s.epoch++
 	out := s.varsBuf[:0]

@@ -54,13 +54,6 @@ type Options struct {
 	// BranchFirstVar branches on the first variable encountered instead
 	// of the most frequent one. Used by the ablation benchmark.
 	BranchFirstVar bool
-	// NoCache disables the component memoization cache even when
-	// Evaluator.Cache is set. Used by the cache ablation benchmark.
-	// Cached and uncached evaluation are bit-identical — both solve
-	// branched components in the same canonical order; the cache only
-	// decides whether a component's probability is looked up or
-	// recomputed.
-	NoCache bool
 	// LegacyEngine solves branched components with the original
 	// clause-rewriting recursion instead of the compiled bitset
 	// clause-state engine (state.go). The two engines are bit-identical;
@@ -70,21 +63,18 @@ type Options struct {
 	// ApproxThreshold, when > 0, caps the exact solver: a connected
 	// component with more than ApproxThreshold distinct variables is
 	// estimated by the generalised weighted ApproxCount sampler instead
-	// of being counted exactly. The estimator is seeded from the
-	// component's canonical fingerprint, so both the fallback decision
-	// and the estimate are pure functions of the component — identical
-	// at any worker count, schedule, and cache state. See
+	// of being counted exactly, at DefaultApproxSamples effort. The
+	// estimator is seeded from the component's canonical fingerprint, so
+	// both the fallback decision and the estimate are pure functions of
+	// the component — identical at any worker count and schedule. See
 	// Evaluator.ApproxComponents for the documented error bound. Zero
 	// (the default) means always exact. The threshold is per component,
 	// so it has no effect under NoComponents.
 	ApproxThreshold int
-	// ApproxSamples is the per-variable sampling effort of the
-	// ApproxThreshold fallback; <= 0 means DefaultApproxSamples.
-	ApproxSamples int
 }
 
 // DefaultApproxSamples is the samples-per-level effort of the
-// ApproxThreshold fallback when Options.ApproxSamples is unset.
+// ApproxThreshold fallback.
 const DefaultApproxSamples = 200
 
 // Evaluator computes condition probabilities against a fixed set of
@@ -98,19 +88,12 @@ const DefaultApproxSamples = 200
 // answers renormalise distributions strictly between parallel fan-outs,
 // and the pool join inside ProbAll / parallel.For publishes those writes
 // to the workers of the next fan-out (a happens-before edge). Callers
-// adding their own concurrency must preserve that discipline. The
-// component cache follows the same contract: lookups and stores are safe
-// during fan-outs, ComponentCache.Invalidate belongs in the single-writer
-// gaps, right next to the distribution writes it tracks.
+// adding their own concurrency must preserve that discipline. Nothing is
+// memoized across evaluations, so a Dists write needs no follow-up: the
+// next evaluation reads the new distribution.
 type Evaluator struct {
 	Dists Dists
 	Opt   Options
-	// Cache, when non-nil, memoizes connected-component probabilities
-	// across evaluations (see ComponentCache). Whoever mutates Dists must
-	// call Cache.Invalidate for every renormalised variable, or cached
-	// components will serve probabilities computed under the old
-	// distribution.
-	Cache *ComponentCache
 	// Obs, when non-nil, receives the evaluator's trace events (fan-out
 	// and sweep-plan sizes). It is set by the single writer that owns the
 	// evaluator, and events are emitted only from sequential entry points
@@ -124,11 +107,10 @@ type Evaluator struct {
 
 // ApproxComponents returns how many connected-component solves fell back
 // to the approximate estimator (Options.ApproxThreshold) since the
-// evaluator was created. The probability values themselves are
-// deterministic (fingerprint-seeded); the invocation count is not when a
-// component cache is shared across workers — like cache hit statistics,
-// it depends on which worker reaches a component first — so treat it as
-// an observability figure, not a traced quantity.
+// evaluator was created. Both the count and the estimates are
+// deterministic (fingerprint-seeded, one solve per component
+// occurrence); the count is still an observability figure, not a traced
+// quantity.
 //
 // Error bound: the estimator is only asymptotically unbiased and carries
 // no worst-case guarantee. Empirically, at the DefaultApproxSamples
@@ -203,11 +185,10 @@ func (ev *Evaluator) Prob(c *ctable.Condition) float64 {
 	return ev.probClauses(c.Clauses)
 }
 
-// probClauses runs ADPLL over a raw clause set, memoizing connected
-// components when the evaluator carries a cache.
+// probClauses runs ADPLL over a raw clause set.
 func (ev *Evaluator) probClauses(clauses [][]ctable.Expr) float64 {
 	s, interned := newSolver(ev, clauses)
-	p := s.adpllTop(interned, ev.activeCache())
+	p := s.adpllTop(interned)
 	ev.drainApprox(s)
 	s.release()
 	return p
@@ -229,21 +210,10 @@ func (ev *Evaluator) drainApprox(s *solver) {
 // partial re-solves.
 func (ev *Evaluator) probGroups(groups [][][]ctable.Expr, unit *ctable.Expr) float64 {
 	s, interned := newSolverGroups(ev, groups, unit)
-	p := s.adpllTop(interned, ev.activeCache())
+	p := s.adpllTop(interned)
 	ev.drainApprox(s)
 	s.release()
 	return p
-}
-
-// activeCache returns the cache adpllTop should consult: nil when caching
-// is switched off (Options.NoCache) or structurally meaningless
-// (Options.NoComponents — without component decomposition there is
-// nothing to memoize).
-func (ev *Evaluator) activeCache() *ComponentCache {
-	if ev.Opt.NoCache || ev.Opt.NoComponents {
-		return nil
-	}
-	return ev.Cache
 }
 
 // ProbAll computes Pr(φ) for every condition, fanning the independent

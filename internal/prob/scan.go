@@ -1,8 +1,6 @@
 package prob
 
 import (
-	"encoding/binary"
-
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/obs"
 )
@@ -16,14 +14,14 @@ import (
 //
 //	Pr(φ∧e) = Pr(touched ∧ e) · Π Pr(untouched component)
 //
-// where the untouched factors were computed once at scan construction (and
-// usually served from the evaluator's component cache). Only the touched
-// component is re-solved per candidate — with the unit clause [e] riding
-// in solver scratch — so a condition of k components costs one small
-// model-counting run plus a k-term product per candidate, instead of a
-// full run over all k components. The rest-product multiplies the
-// untouched factors directly rather than dividing the full product by the
-// touched one, so zero-probability components need no special casing.
+// where the untouched factors were computed once at scan construction.
+// Only the touched component is re-solved per candidate — with the unit
+// clause [e] riding in solver scratch — so a condition of k components
+// costs one small model-counting run plus a k-term product per
+// candidate, instead of a full run over all k components. The
+// rest-product multiplies the untouched factors directly rather than
+// dividing the full product by the touched one, so zero-probability
+// components need no special casing.
 //
 // A scan snapshots the evaluator's distributions at construction time:
 // build it after crowd answers are absorbed, use it for one selection
@@ -50,11 +48,10 @@ type CondScan struct {
 // solve of the component and then prices every one of those candidates
 // with a partial sum, while the fallback pays one unit-clause solve per
 // candidate — so the pass breaks even at a handful of candidates.
-// Already-cached vectors are picked up regardless of the count.
 const marginalsThreshold = 3
 
 // NewCondScan decomposes the condition and computes each component's
-// probability (through the component cache when the evaluator has one).
+// probability.
 // pPhi is the caller's Pr(φ) for the condition — the same value handed to
 // CondProbsWith — so utilities computed through the scan and through
 // CondProbsWith see identical marginals.
@@ -73,7 +70,7 @@ func (ev *Evaluator) NewCondScan(c *ctable.Condition, pPhi float64) *CondScan {
 
 // CondProbs is Evaluator.CondProbsWith through the scan: the same four
 // marginal-utility quantities, with Pr(φ∧e) assembled from the touched
-// component's re-solve and the cached rest-product.
+// component's re-solve and the precomputed rest-product.
 func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 	ev := cs.ev
 	pe = ev.ExprProb(e)
@@ -169,8 +166,7 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 
 // PlanSweeps inspects the candidate set the scan is about to price and
 // materialises joint marginal vectors Pr(comp ∧ x=a) for the variables
-// carrying constant-comparison candidates. Cached vectors from an earlier
-// scan or round are picked up for free; the rest are computed — when the
+// carrying constant-comparison candidates. They are computed — when the
 // component's candidate load clears marginalsThreshold — by one
 // all-variable marginal pass per component (allMarginals), which costs a
 // small constant factor over a single solve however many variables it
@@ -196,62 +192,33 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 			needed[e.X] = true
 		}
 	}
-	// The candidate and sweep-variable counts are pure functions of the
-	// candidate set; what the cache serves versus recomputes below is not,
-	// and stays out of the trace.
 	cs.ev.Obs.Emit(obs.Event{Kind: obs.KindSweepPlan, N: len(exprs), M: len(needed)})
 	for g, n := range counts {
-		if n > 0 {
-			cs.planComp(g, needed, n)
+		if n >= marginalsThreshold {
+			cs.planComp(g, needed)
 		}
 	}
 }
 
-// planComp serves or computes the marginal vectors of one component's
-// needed variables: cache lookups first, then — if any are missing and
-// the candidate count justifies it — a single allMarginals pass whose
-// vectors are stored for later scans and rounds. Vectors are computed on
-// the canonically-ordered component, so cache-served and freshly-computed
-// values are bit-identical.
-func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
+// planComp computes the marginal vectors of one component's needed
+// variables with a single all-marginals pass over the canonically
+// ordered component.
+func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool) {
 	ev := cs.ev
 	s, interned := newSolverGroups(ev, [][][]ctable.Expr{cs.comps[g]}, nil)
 	defer s.release()
-	key := s.fingerprint(interned, sweepKeyPrefix)
-	base := len(key)
-	varKey := func(x ctable.Var) []byte {
-		key = key[:base]
-		key = binary.AppendUvarint(key, uint64(uint32(x.Obj)))
-		key = binary.AppendUvarint(key, uint64(uint32(x.Attr)))
-		s.keyBuf = key
-		return key
+	s.canonicalize(interned)
+	for x := range needed {
+		if cs.byVar[x] == g {
+			id, _ := s.varID(x)
+			s.margNeed[id] = true
+		}
 	}
-
-	cache := ev.activeCache()
-	var miss []ctable.Var
+	total, m := s.marginals(interned)
 	for x := range needed {
 		if cs.byVar[x] != g {
 			continue
 		}
-		if cache != nil {
-			if vec, ok := cache.lookupVec(varKey(x)); ok {
-				cs.addSweep(x, vec)
-				continue
-			}
-		}
-		//lint:ignore determinism miss feeds a need-set and per-variable map stores; vectors are computed on the canonical component order, so gather order cannot reach a result
-		miss = append(miss, x)
-	}
-	if len(miss) == 0 || nCand < marginalsThreshold {
-		return
-	}
-
-	for _, x := range miss {
-		id, _ := s.varID(x)
-		s.margNeed[id] = true
-	}
-	total, m := s.marginals(interned)
-	for _, x := range miss {
 		id, _ := s.varID(x)
 		vec := m[id]
 		if vec == nil {
@@ -265,21 +232,12 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 				}
 			}
 		}
-		cs.addSweep(x, vec)
-		if cache != nil {
-			cache.storeVec(varKey(x), s.componentVars(interned), vec)
+		if cs.sweeps == nil {
+			//lint:ignore hotalloc once per scan construction; probes only read it
+			cs.sweeps = make(map[ctable.Var][]float64)
 		}
+		cs.sweeps[x] = vec
 	}
-}
-
-// addSweep records a planned vector. The slices may be cache-shared:
-// read-only from here on.
-func (cs *CondScan) addSweep(x ctable.Var, vec []float64) {
-	if cs.sweeps == nil {
-		//lint:ignore hotalloc once per scan construction; probes only read it
-		cs.sweeps = make(map[ctable.Var][]float64)
-	}
-	cs.sweeps[x] = vec
 }
 
 // condComponents groups a condition's clauses into connected components

@@ -56,12 +56,12 @@ type solver struct {
 	// clause headers in one reused slice, so a Pr(φ∧e) probe interns its
 	// condition with zero per-clause allocations. The legacy path keeps
 	// the seed's per-clause copies. Carved slices are solver-owned
-	// per-evaluation scratch, which is what lets fingerprint sort them
+	// per-evaluation scratch, which is what lets canonicalize sort them
 	// in place.
 	ceArena []cexpr
 	clArena [][]cexpr
-	// keyBuf and varsBuf are fingerprint scratch, reused across the
-	// components of one evaluation.
+	// keyBuf and varsBuf are fingerprint and componentVars scratch,
+	// reused across the components of one evaluation.
 	keyBuf  []byte
 	varsBuf []ctable.Var
 	// margNeed marks the variables the all-marginals pass must report
@@ -465,13 +465,10 @@ func (s *solver) simplify(clauses [][]cexpr) (out [][]cexpr, value, decided bool
 }
 
 // adpllTop is the ADPLL entry point: the same mathematics as adpll, but
-// connected components are solved in a canonical clause order and, when
-// cache is non-nil, memoized under their canonical fingerprint. A nil
-// cache keeps the canonical order and skips only the memoization — the
-// single difference between cached and uncached evaluation is whether a
-// component's probability is looked up or recomputed, never the
-// arithmetic order, which is what makes the two modes bit-identical.
-func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
+// connected components are solved in the canonical clause order of
+// canonicalize, so a component's probability is a pure function of the
+// component, bit for bit, whatever clause order it arrived in.
+func (s *solver) adpllTop(clauses [][]cexpr) float64 {
 	residual := clauses
 	if s.opt.LegacyEngine {
 		var value, decided bool
@@ -501,12 +498,15 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 		return p
 	}
 	if s.opt.NoComponents {
-		return s.branch(residual, s.pickVar(residual))
+		if s.opt.LegacyEngine {
+			return s.branch(residual, s.pickVar(residual))
+		}
+		return s.stSolve(residual)
 	}
 	comps := s.components(residual)
 	p := 1.0
 	for _, comp := range comps {
-		p *= s.componentProb(comp, cache)
+		p *= s.componentProb(comp)
 		if p == 0 {
 			return 0
 		}
@@ -514,11 +514,7 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 	return p
 }
 
-// componentProb returns Pr(comp) for one connected component, consulting
-// the cache for components that would need branching. Components decided
-// by the direct independence rule are recomputed every time: they cost as
-// little as fingerprinting them would, and caching them would crowd out
-// entries that save real branching work.
+// componentProb returns Pr(comp) for one connected component.
 //
 // Branched components are solved by the compiled bitset clause-state
 // engine (state.go) unless Options.LegacyEngine re-selects the original
@@ -528,30 +524,20 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 // generalised ApproxCount estimator, seeded from the component's
 // canonical fingerprint — the decision and the estimate are pure
 // functions of the component, so results stay deterministic at any
-// worker count, schedule, and cache state.
-func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
+// worker count and schedule.
+func (s *solver) componentProb(comp [][]cexpr) float64 {
 	if p, ok := s.directProb(comp); ok {
 		return p
 	}
-	key := s.fingerprint(comp, scalarKeyPrefix)
-	if cache != nil {
-		if p, ok := cache.lookup(key); ok {
-			return p
-		}
-	}
-	var p float64
+	s.canonicalize(comp)
 	switch {
 	case s.opt.ApproxThreshold > 0 && len(s.componentVars(comp)) > s.opt.ApproxThreshold:
-		p = s.approxComponent(comp, key)
+		return s.approxComponent(comp)
 	case s.opt.LegacyEngine:
-		p = s.branch(comp, s.pickVar(comp))
+		return s.branch(comp, s.pickVar(comp))
 	default:
-		p = s.stSolve(comp)
+		return s.stSolve(comp)
 	}
-	if cache != nil {
-		cache.store(key, s.componentVars(comp), p)
-	}
-	return p
 }
 
 // adpll is Algorithm 3 over interned clauses.

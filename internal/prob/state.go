@@ -16,7 +16,7 @@ import "bayescrowd/internal/ctable"
 // solver scratch:
 //
 //   - a literal arena (stExprs) with per-clause offsets, in the canonical
-//     order the fingerprint established;
+//     order canonicalize established;
 //   - liveness as bit-words — one bit per clause ("satisfied, drop it")
 //     and one per literal ("decided false, skip it") — plus a live-literal
 //     counter per clause that detects empty clauses eagerly;
@@ -44,9 +44,10 @@ import "bayescrowd/internal/ctable"
 // list is append-filled only through its own capped slice and read-only
 // afterwards.
 
-// stSolve compiles one connected component — already in canonical
-// fingerprint order, under an empty assignment — and solves it. Mirrors
-// the legacy componentProb step branch(comp, pickVar(comp)).
+// stSolve compiles a clause set — a canonicalized connected component,
+// or the whole residual under Options.NoComponents — under an empty
+// assignment and solves it. Mirrors the legacy step
+// branch(comp, pickVar(comp)).
 func (s *solver) stSolve(comp [][]cexpr) float64 {
 	s.stCompile(comp)
 	s.stTrail = s.stTrail[:0]

@@ -34,8 +34,7 @@ func TestStateEngineBitIdenticalRandom(t *testing.T) {
 }
 
 // TestStateEngineBitIdenticalNBA compares whole NBA-shaped workloads:
-// every undecided condition, with and without the component cache, at
-// several worker counts.
+// every undecided condition, at several worker counts.
 func TestStateEngineBitIdenticalNBA(t *testing.T) {
 	conds, dists := nbaConditions(250, 0.2, 0.1, 7)
 	if len(conds) == 0 {
@@ -43,15 +42,10 @@ func TestStateEngineBitIdenticalNBA(t *testing.T) {
 	}
 	legacy := &Evaluator{Dists: dists, Opt: Options{LegacyEngine: true}}
 	want := legacy.ProbAll(conds, 1)
-	for _, cached := range []bool{false, true} {
-		for _, workers := range []int{1, 3, 8} {
-			ev := &Evaluator{Dists: dists}
-			if cached {
-				ev.Cache = NewComponentCache(DefaultCacheSize)
-			}
-			if got := ev.ProbAll(conds, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cached=%v workers=%d: state engine differs from legacy", cached, workers)
-			}
+	state := &Evaluator{Dists: dists}
+	for _, workers := range []int{1, 3, 8} {
+		if got := state.ProbAll(conds, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: state engine differs from legacy", workers)
 		}
 	}
 }
@@ -62,7 +56,7 @@ func TestStateEngineBitIdenticalNBA(t *testing.T) {
 func TestStateEngineBitIdenticalCondProbs(t *testing.T) {
 	conds, dists := nbaConditions(150, 0.25, 0.1, 5)
 	legacy := &Evaluator{Dists: dists, Opt: Options{LegacyEngine: true}}
-	state := &Evaluator{Dists: dists, Cache: NewComponentCache(DefaultCacheSize)}
+	state := &Evaluator{Dists: dists}
 	checked := 0
 	for _, c := range conds {
 		pLegacy, pState := legacy.Prob(c), state.Prob(c)
@@ -101,7 +95,8 @@ func TestStateEngineBitIdenticalCondProbs(t *testing.T) {
 // TestStateEngineAblationModes covers the ablation options: the
 // BranchFirstVar branching rule runs through the state engine's
 // first-variable path, and NoComponents (which bypasses component
-// decomposition entirely) must stay consistent between engine settings.
+// decomposition entirely) runs the state engine's whole-residual
+// branching; both must match the legacy engine bit for bit.
 func TestStateEngineAblationModes(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))

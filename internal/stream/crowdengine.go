@@ -55,6 +55,9 @@ type CrowdConfig struct {
 	// positive; seed it — together with the platform's seed it fully
 	// determines the run.
 	Rng *rand.Rand
+	// NoCache scores candidates by full-formula probes instead of the
+	// component scan (core.Options.NoCache); answers are unchanged.
+	NoCache bool
 }
 
 // CrowdLedger is the per-tick staleness ledger — what the crowd loop
@@ -152,13 +155,7 @@ type scheduledAnswer struct {
 // expire at their deadline. Determinism follows the engine's logical
 // clock — the platform's delays, the selection tie-breaks and the trace
 // are all pure functions of the seeds, byte-identical at any worker
-// count. The one worker-sensitive observable is
-// TickResult.InvalidatedEntries: UBS/HHS scoring at workers > 1
-// precomputes utilities speculatively, warming the component cache with
-// entries a sequential run never solves, so invalidation drops a
-// different entry count. Probabilities, answers, ledgers and trace
-// events are unaffected — the counter reports cache occupancy, not
-// results.
+// count.
 //
 // CrowdEngine is single-writer like Engine: Tick and the accessors must
 // not be called concurrently.
@@ -186,8 +183,7 @@ type CrowdEngine struct {
 	reserved int
 	totals   CrowdLedger
 
-	touched     map[ctable.Var]bool
-	distChanged map[ctable.Var]bool
+	touched map[ctable.Var]bool
 
 	// Per-tick scratch maps, reused across ticks (Tick is a hot-loop
 	// root): the in-flight variable set for selection, the answered-task
@@ -239,7 +235,6 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		inflightExpr: map[ctable.Expr]*inflightTask{},
 		mailbox:      map[int][]scheduledAnswer{},
 		touched:      map[ctable.Var]bool{},
-		distChanged:  map[ctable.Var]bool{},
 
 		busyScratch:     map[ctable.Var]bool{},
 		answeredScratch: map[ctable.Expr]bool{},
@@ -247,7 +242,7 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 	}
 	c.ab = &core.Absorption{
 		Know: c.know, Base: c.base, Eff: eng.ev.Dists,
-		Touched: c.touched, DistChanged: c.distChanged,
+		Touched: c.touched,
 	}
 	c.opt = core.Options{
 		Strategy: cfg.Strategy,
@@ -273,9 +268,6 @@ func (c *CrowdEngine) Len() int { return c.eng.Len() }
 // by stream id.
 func (c *CrowdEngine) Snapshot() []Ranked { return c.eng.Snapshot() }
 
-// CacheStats snapshots the evaluator's component-cache counters.
-func (c *CrowdEngine) CacheStats() prob.CacheStats { return c.eng.CacheStats() }
-
 // Totals returns the run's accumulated crowd ledger.
 func (c *CrowdEngine) Totals() CrowdLedger { return c.totals }
 
@@ -299,7 +291,6 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	e.beginTick(now)
 	var res CrowdTickResult
 	clear(c.touched)
-	clear(c.distChanged)
 
 	// Evict, then retract: the knowledge recorded about the retired
 	// variables is tombstoned, so a stale answer racing this eviction
@@ -583,17 +574,6 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 		stale = append(stale, id)
 	}
 	sort.Ints(stale)
-
-	// Renormalised distributions stale their cached components; bump the
-	// epochs in this single-writer gap, before the fan-out reads them.
-	if e.ev.Cache != nil && len(c.distChanged) > 0 {
-		vars := make([]ctable.Var, 0, len(c.distChanged))
-		for v := range c.distChanged {
-			//lint:ignore determinism Invalidate bumps per-variable epochs; the bump set matters, its order does not
-			vars = append(vars, v)
-		}
-		res.InvalidatedEntries += e.ev.Cache.Invalidate(vars...)
-	}
 
 	conds := make([]*ctable.Condition, len(stale))
 	knowEmpty := c.know.Empty()

@@ -3,20 +3,20 @@
 // arrivals, retires the objects the window policy expires, and brings
 // the per-object skyline probabilities back up to date — incrementally:
 // the DynCTable patches only the conditions an edit actually touches,
-// the ComponentCache keeps every untouched component's probability, and
-// only the dirty conditions re-enter the solver.
+// every untouched condition keeps its probability from earlier ticks,
+// and only the dirty conditions re-enter the solver.
 //
 // The engine also hosts its own correctness anchor. Config.Rebuild
 // selects the rebuild-per-tick baseline — a fresh batch c-table and a
 // fresh evaluator over the whole window every tick — and the two modes
 // produce identical answer sets and probabilities at every tick (the
-// equivalence tests assert it across solver engines and worker counts).
+// equivalence tests assert it at several worker counts).
 // The sustained-throughput benchmark measures the same pair.
 //
 // Concurrency follows the repo's single-writer contract: Tick mutates
-// the table, the distributions and the cache strictly between the
-// parallel Pr(φ) fan-outs it launches, so the trace is deterministic
-// and the probabilities bit-identical at any worker count.
+// the table and the distributions strictly between the parallel Pr(φ)
+// fan-outs it launches, so the trace is deterministic and the
+// probabilities bit-identical at any worker count.
 package stream
 
 import (
@@ -71,15 +71,8 @@ type Config struct {
 	Dist DistFunc
 	// Workers bounds the Pr(φ) fan-out (<= 0: one per CPU).
 	Workers int
-	// CacheSize caps the component cache (<= 0: prob.DefaultCacheSize).
-	CacheSize int
-	// NoCache disables component memoization entirely.
-	NoCache bool
-	// LegacyEngine selects the original clause-rewriting solver, for the
-	// cross-engine equivalence tests.
-	LegacyEngine bool
 	// Rebuild selects the rebuild-per-tick baseline: a fresh batch
-	// c-table, evaluator and cache over the whole window every tick.
+	// c-table and evaluator over the whole window every tick.
 	// It is the engine's correctness anchor and the benchmark's
 	// denominator, not a production mode.
 	Rebuild bool
@@ -109,8 +102,10 @@ type TickResult struct {
 	// Recomputed counts the conditions whose probability was re-solved
 	// this tick (every live condition in Rebuild mode).
 	Recomputed int
-	// InvalidatedEntries counts the cached components the tick's
-	// evictions dropped (0 in Rebuild mode, whose cache is per-tick).
+	// InvalidatedEntries is always zero.
+	//
+	// Deprecated: there is no component cache to invalidate; the field
+	// remains only for readers that still print it.
 	InvalidatedEntries int
 	// Answers holds the live ids with Pr(φ) > 0.5 — the paper's answer
 	// threshold — ascending.
@@ -147,7 +142,7 @@ type Engine struct {
 	tbl *ctable.DynCTable
 	ev  *prob.Evaluator
 
-	cTicks, cInserts, cEvicts, cRecomp, cInvalEntries *obs.Counter
+	cTicks, cInserts, cEvicts, cRecomp *obs.Counter
 }
 
 // New validates the configuration and returns an empty engine.
@@ -167,7 +162,6 @@ func New(cfg Config) (*Engine, error) {
 		e.cInserts = reg.Counter("stream.inserts")
 		e.cEvicts = reg.Counter("stream.evicts")
 		e.cRecomp = reg.Counter("stream.recomputed")
-		e.cInvalEntries = reg.Counter("cache.invalidated.entries")
 	}
 	if !cfg.Rebuild {
 		capacity := cfg.Window.Count
@@ -176,11 +170,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.tbl = ctable.NewDynCTable(cfg.Attrs, capacity)
 		e.ev = prob.NewEvaluator(prob.Dists{})
-		e.ev.Opt.LegacyEngine = cfg.LegacyEngine
-		e.ev.Opt.NoCache = cfg.NoCache
-		if !cfg.NoCache {
-			e.ev.Cache = prob.NewComponentCache(cfg.CacheSize)
-		}
 	}
 	return e, nil
 }
@@ -223,7 +212,6 @@ func (e *Engine) endTick(arrivals int, res *TickResult) {
 	e.cInserts.Add(int64(len(res.Inserted)))
 	e.cEvicts.Add(int64(len(res.Evicted)))
 	e.cRecomp.Add(int64(res.Recomputed))
-	e.cInvalEntries.Add(int64(res.InvalidatedEntries))
 	e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTick, N: arrivals, M: res.Recomputed})
 }
 
@@ -255,8 +243,7 @@ func (e *Engine) tickIncremental(now int64, arrivals [][]dataset.Cell) TickResul
 }
 
 // evictStep retires what the window policy expires: the objects leave
-// the table, their distributions and cached probabilities are dropped,
-// and their dead cache components are invalidated in one batch. It
+// the table and their distributions and probabilities are dropped. It
 // returns the retired variables so the crowd loop can retract the
 // knowledge recorded about them.
 func (e *Engine) evictStep(now int64, arriving int, res *TickResult) []ctable.Var {
@@ -273,12 +260,6 @@ func (e *Engine) evictStep(now int64, arriving int, res *TickResult) []ctable.Va
 		delete(e.probs, en.id)
 		res.Evicted = append(res.Evicted, en.id)
 		e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamEvict, N: en.id, M: len(vars)})
-	}
-	// One batched invalidation per tick: the retired variables can never
-	// recur (ids are never reused), so their cached components are dead
-	// weight the FIFO would otherwise evict one live entry at a time.
-	if e.ev.Cache != nil && len(evictedVars) > 0 {
-		res.InvalidatedEntries = e.ev.Cache.Invalidate(evictedVars...)
 	}
 	return evictedVars
 }
@@ -333,7 +314,7 @@ func (e *Engine) tickRebuild(now int64, arrivals [][]dataset.Cell) TickResult {
 	}
 
 	// The whole window, from scratch: batch c-table, fresh distributions
-	// keyed by window index, fresh evaluator and cache.
+	// keyed by window index, fresh evaluator.
 	w := dataset.New(e.cfg.Attrs)
 	dists := prob.Dists{}
 	for i, en := range e.queue {
@@ -346,11 +327,6 @@ func (e *Engine) tickRebuild(now int64, arrivals [][]dataset.Cell) TickResult {
 	}
 	ct := ctable.Build(w, ctable.BuildOptions{Alpha: 0, Workers: e.cfg.Workers})
 	ev := prob.NewEvaluator(dists)
-	ev.Opt.LegacyEngine = e.cfg.LegacyEngine
-	ev.Opt.NoCache = e.cfg.NoCache
-	if !e.cfg.NoCache {
-		ev.Cache = prob.NewComponentCache(e.cfg.CacheSize)
-	}
 	ps := ev.ProbAll(ct.Conds, parallel.Workers(e.cfg.Workers))
 	res.Recomputed = len(ps)
 	e.probs = make(map[int]float64, len(e.queue))
@@ -401,11 +377,8 @@ func (e *Engine) Snapshot() []Ranked {
 	return out
 }
 
-// CacheStats snapshots the incremental evaluator's component-cache
-// counters (zero in Rebuild mode, whose caches live one tick).
-func (e *Engine) CacheStats() prob.CacheStats {
-	if e.ev == nil || e.ev.Cache == nil {
-		return prob.CacheStats{}
-	}
-	return e.ev.Cache.Stats()
-}
+// CacheStats returns zero counters.
+//
+// Deprecated: there is no component cache to count; the method remains
+// only for readers that still print it.
+func (e *Engine) CacheStats() prob.CacheStats { return prob.CacheStats{} }

@@ -54,56 +54,53 @@ func genScript(rng *rand.Rand, nTicks int) script {
 
 // TestIncrementalMatchesRebuildEveryTick is the PR's correctness anchor:
 // the incremental engine and the rebuild-per-tick baseline produce the
-// same answer sets, rankings and probabilities at every tick, under both
-// solver engines and at any worker count.
+// same answer sets, rankings and probabilities at every tick, at any
+// worker count.
 func TestIncrementalMatchesRebuildEveryTick(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 4; trial++ {
 		sc := genScript(rng, 25)
 		window := Window{Count: 12 + rng.Intn(10)}
-		for _, legacy := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				mk := func(rebuild bool) *Engine {
-					e, err := New(Config{
-						Attrs:        sc.attrs,
-						Window:       window,
-						TopK:         5,
-						Workers:      workers,
-						LegacyEngine: legacy,
-						Rebuild:      rebuild,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return e
+		for _, workers := range []int{1, 4} {
+			mk := func(rebuild bool) *Engine {
+				e, err := New(Config{
+					Attrs:   sc.attrs,
+					Window:  window,
+					TopK:    5,
+					Workers: workers,
+					Rebuild: rebuild,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				inc, reb := mk(false), mk(true)
-				for tick, batch := range sc.ticks {
-					now := int64(tick)
-					ri := inc.Tick(now, batch)
-					rr := reb.Tick(now, batch)
-					tag := fmt.Sprintf("trial %d legacy=%v workers=%d tick %d", trial, legacy, workers, tick)
-					if !reflect.DeepEqual(ri.Inserted, rr.Inserted) {
-						t.Fatalf("%s: inserted %v vs %v", tag, ri.Inserted, rr.Inserted)
+				return e
+			}
+			inc, reb := mk(false), mk(true)
+			for tick, batch := range sc.ticks {
+				now := int64(tick)
+				ri := inc.Tick(now, batch)
+				rr := reb.Tick(now, batch)
+				tag := fmt.Sprintf("trial %d workers=%d tick %d", trial, workers, tick)
+				if !reflect.DeepEqual(ri.Inserted, rr.Inserted) {
+					t.Fatalf("%s: inserted %v vs %v", tag, ri.Inserted, rr.Inserted)
+				}
+				if !reflect.DeepEqual(ri.Evicted, rr.Evicted) {
+					t.Fatalf("%s: evicted %v vs %v", tag, ri.Evicted, rr.Evicted)
+				}
+				if !reflect.DeepEqual(ri.Answers, rr.Answers) {
+					t.Fatalf("%s: answer sets differ\n incremental: %v\n rebuild:     %v", tag, ri.Answers, rr.Answers)
+				}
+				si, sr := inc.Snapshot(), reb.Snapshot()
+				if len(si) != len(sr) {
+					t.Fatalf("%s: snapshot sizes %d vs %d", tag, len(si), len(sr))
+				}
+				for i := range si {
+					if si[i].ID != sr[i].ID || math.Abs(si[i].P-sr[i].P) > 1e-9 {
+						t.Fatalf("%s: Pr(φ) diverges at %v vs %v", tag, si[i], sr[i])
 					}
-					if !reflect.DeepEqual(ri.Evicted, rr.Evicted) {
-						t.Fatalf("%s: evicted %v vs %v", tag, ri.Evicted, rr.Evicted)
-					}
-					if !reflect.DeepEqual(ri.Answers, rr.Answers) {
-						t.Fatalf("%s: answer sets differ\n incremental: %v\n rebuild:     %v", tag, ri.Answers, rr.Answers)
-					}
-					si, sr := inc.Snapshot(), reb.Snapshot()
-					if len(si) != len(sr) {
-						t.Fatalf("%s: snapshot sizes %d vs %d", tag, len(si), len(sr))
-					}
-					for i := range si {
-						if si[i].ID != sr[i].ID || math.Abs(si[i].P-sr[i].P) > 1e-9 {
-							t.Fatalf("%s: Pr(φ) diverges at %v vs %v", tag, si[i], sr[i])
-						}
-					}
-					if !reflect.DeepEqual(ri.TopK, rr.TopK) {
-						t.Fatalf("%s: rankings differ\n incremental: %v\n rebuild:     %v", tag, ri.TopK, rr.TopK)
-					}
+				}
+				if !reflect.DeepEqual(ri.TopK, rr.TopK) {
+					t.Fatalf("%s: rankings differ\n incremental: %v\n rebuild:     %v", tag, ri.TopK, rr.TopK)
 				}
 			}
 		}
@@ -130,37 +127,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(seq.Snapshot(), par.Snapshot()) {
 			t.Fatalf("tick %d: snapshots differ between workers=1 and workers=8", tick)
 		}
-	}
-}
-
-// TestCacheInvarianceAndInvalidation checks that the cache changes no
-// probability and that evictions actually drop the dead entries.
-func TestCacheInvarianceAndInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	sc := genScript(rng, 20)
-	mk := func(noCache bool) *Engine {
-		e, err := New(Config{Attrs: sc.attrs, Window: Window{Count: 10}, NoCache: noCache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	cached, plain := mk(false), mk(true)
-	invalidated := 0
-	for tick, batch := range sc.ticks {
-		rc := cached.Tick(int64(tick), batch)
-		plain.Tick(int64(tick), batch)
-		if !reflect.DeepEqual(cached.Snapshot(), plain.Snapshot()) {
-			t.Fatalf("tick %d: cache changed a probability", tick)
-		}
-		invalidated += rc.InvalidatedEntries
-	}
-	stats := cached.CacheStats()
-	if stats.InvalidatedEntries != uint64(invalidated) {
-		t.Fatalf("per-tick invalidation counts sum to %d, stats say %d", invalidated, stats.InvalidatedEntries)
-	}
-	if stats.Invalidated == 0 {
-		t.Fatal("a sliding window run never invalidated a variable")
 	}
 }
 
