@@ -211,7 +211,8 @@ type BayesNode = bayesnet.Node
 // LearnBayesNet trains a network on the dataset's complete rows by BIC
 // hill climbing (the Banjo-style structure search) and maximum-likelihood
 // parameter fitting. Assign the result to Options.Net to reuse it across
-// queries. It fails when fewer than 50 complete rows exist.
+// queries, concurrent ones included: inference only reads it. It fails
+// when fewer than 50 complete rows exist.
 func LearnBayesNet(d *Dataset) (*BayesNet, error) {
 	return core.LearnNetwork(d, bayesnet.LearnOptions{})
 }

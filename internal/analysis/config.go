@@ -49,9 +49,10 @@ type Config struct {
 	EpsilonHelperPattern *regexp.Regexp
 
 	// HotPathRoots are "pkgpath.TypeName.Method" (or "pkgpath.Func")
-	// references naming the Pr(φ) hot-loop entry points; every map
-	// allocation in a function statically reachable from them within
-	// their package is flagged by the hotalloc analyzer.
+	// references naming the hot-loop entry points (Pr(φ), c-table
+	// maintenance, posterior inference); every map allocation in a
+	// function statically reachable from them within their package is
+	// flagged by the hotalloc analyzer.
 	HotPathRoots []string
 
 	// DocPkgs are import-path prefixes whose exported declarations must
@@ -121,6 +122,9 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/ctable") + ".DynCTable.Evict",
 			p("internal/ctable") + ".DynCTable.Cond",
 			p("internal/stream") + ".CrowdEngine.Tick",
+			// Posterior inference runs once per missing cell during
+			// preprocessing; its kernel works in reused scratch.
+			p("internal/bayesnet") + ".Network.PosteriorInto",
 		},
 		DocPkgs: []string{modulePath},
 		LedgerTypes: []string{

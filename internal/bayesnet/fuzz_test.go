@@ -2,13 +2,15 @@ package bayesnet
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadJSON checks the network parser never panics and that every
 // accepted network is internally consistent (valid topology, normalised
-// CPTs — enforced by New) and inference-safe.
+// CPTs — enforced by New) and inference-safe, with the compiled kernel
+// matching the reference engine bit for bit.
 func FuzzReadJSON(f *testing.F) {
 	var chainJSON bytes.Buffer
 	if err := MustNew([]Node{
@@ -32,17 +34,33 @@ func FuzzReadJSON(f *testing.F) {
 		if n.NumNodes() == 0 {
 			return
 		}
-		// Inference over the accepted network must be well-formed.
-		dist := n.Posterior(0, nil)
-		sum := 0.0
-		for _, p := range dist {
-			if p < 0 || p > 1+1e-9 {
-				t.Fatalf("posterior entry %v outside [0,1]", p)
+		// Inference over the accepted network must be well-formed and
+		// bit-identical to the reference engine, for every target with
+		// nothing observed and with every other node observed.
+		for target := 0; target < n.NumNodes(); target++ {
+			observed := map[int]int{}
+			for i := range n.Nodes {
+				if i != target {
+					observed[i] = i % n.Nodes[i].Levels
+				}
 			}
-			sum += p
-		}
-		if sum < 1-1e-6 || sum > 1+1e-6 {
-			t.Fatalf("posterior sums to %v", sum)
+			for _, evidence := range []map[int]int{nil, observed} {
+				dist := n.Posterior(target, evidence)
+				want := referencePosterior(n, target, evidence)
+				sum := 0.0
+				for v, p := range dist {
+					if math.Float64bits(p) != math.Float64bits(want[v]) {
+						t.Fatalf("Posterior(%d, %v) = %v, reference %v", target, evidence, dist, want)
+					}
+					if p < 0 || p > 1+1e-9 {
+						t.Fatalf("posterior entry %v outside [0,1]", p)
+					}
+					sum += p
+				}
+				if sum < 1-1e-6 || sum > 1+1e-6 {
+					t.Fatalf("posterior sums to %v", sum)
+				}
+			}
 		}
 	})
 }

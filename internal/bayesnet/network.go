@@ -1,6 +1,7 @@
 // Package bayesnet implements discrete Bayesian networks: representation,
-// exact inference by variable elimination, forward sampling, maximum-
-// likelihood parameter estimation, and greedy BIC structure learning.
+// exact inference by variable elimination over compiled CPT tables,
+// forward sampling, maximum-likelihood parameter estimation, and greedy
+// BIC structure learning.
 //
 // It is the from-scratch substitute for the two frameworks the paper's
 // preprocessing step relies on (§3): Banjo (structure learning) and
@@ -37,14 +38,15 @@ type Node struct {
 	CPT []float64
 }
 
-// Network is a discrete Bayesian network over n nodes.
+// Network is a discrete Bayesian network over n nodes. A Network built
+// by New is immutable: New compiles every CPT into the read-only tables
+// inference reads, so one Network may serve any number of goroutines at
+// once (Posterior, PosteriorInto, JointP and Sample only read it). Nodes
+// must not be modified after New.
 type Network struct {
 	Nodes []Node
-	topo  []int // cached topological order
-	// factors caches each node's CPT as an inference factor; repeated
-	// Posterior calls (one per missing cell during preprocessing) would
-	// otherwise rebuild them every time.
-	factors []*factor
+	topo  []int    // cached topological order
+	fams  []family // per-node compiled CPTs, read-only after New
 }
 
 // New validates the node set (acyclicity, CPT shapes, normalised rows) and
@@ -60,6 +62,10 @@ func New(nodes []Node) (*Network, error) {
 		if err := n.validateCPT(i); err != nil {
 			return nil, err
 		}
+	}
+	n.fams = make([]family, len(nodes))
+	for i := range nodes {
+		n.fams[i] = n.compileFamily(i)
 	}
 	return n, nil
 }
@@ -80,9 +86,12 @@ func (n *Network) validateCPT(i int) error {
 		return fmt.Errorf("bayesnet: node %q has %d levels", node.Name, node.Levels)
 	}
 	cfgs := 1
-	for _, p := range node.Parents {
+	for k, p := range node.Parents {
 		if p < 0 || p >= len(n.Nodes) {
 			return fmt.Errorf("bayesnet: node %q has parent index %d outside [0,%d)", node.Name, p, len(n.Nodes))
+		}
+		if indexOfInt(node.Parents[:k], p) >= 0 {
+			return fmt.Errorf("bayesnet: node %q lists parent %d twice", node.Name, p)
 		}
 		cfgs *= n.Nodes[p].Levels
 	}
@@ -216,4 +225,15 @@ func (n *Network) Levels() []int {
 		out[i] = nd.Levels
 	}
 	return out
+}
+
+func containsInt(s []int, v int) bool { return indexOfInt(s, v) >= 0 }
+
+func indexOfInt(s []int, v int) int {
+	for i, x := range s {
+		if x == v {
+			return i
+		}
+	}
+	return -1
 }

@@ -1,6 +1,7 @@
 package bayesnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,6 +41,16 @@ func TestNewRejectsSelfParent(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("New accepted a self-parent")
+	}
+}
+
+func TestNewRejectsDuplicateParent(t *testing.T) {
+	_, err := New([]Node{
+		{Name: "A", Levels: 2, CPT: []float64{0.5, 0.5}},
+		{Name: "B", Levels: 2, Parents: []int{0, 0}, CPT: []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}},
+	})
+	if err == nil {
+		t.Fatal("New accepted a node listing the same parent twice")
 	}
 }
 
@@ -379,10 +390,25 @@ func TestCreatesCycle(t *testing.T) {
 func BenchmarkPosterior11Nodes(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := randomNetwork(rng, 11, 6)
-	evidence := map[int]int{0: 1, 3: 0, 7: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Posterior(5, evidence)
+	const target = 5
+	hideOrder := []int{1, 8, 3, 9} // hidden besides the target, in order
+	for _, hidden := range []int{0, 2, 4} {
+		b.Run(fmt.Sprintf("hidden=%d", hidden), func(b *testing.B) {
+			evidence := make([]int, n.NumNodes())
+			for i := range evidence {
+				evidence[i] = i % n.Nodes[i].Levels
+			}
+			evidence[target] = -1
+			for _, h := range hideOrder[:hidden] {
+				evidence[h] = -1
+			}
+			dist := make([]float64, n.Nodes[target].Levels)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.PosteriorInto(target, evidence, dist)
+			}
+		})
 	}
 }
 

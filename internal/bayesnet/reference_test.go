@@ -6,7 +6,7 @@ import (
 )
 
 // factor is a nonnegative function over a subset of network variables,
-// used by variable-elimination inference. vars are node indices in
+// used by the reference variable-elimination engine. vars are node indices in
 // ascending order; vals is indexed in mixed radix with the LAST variable
 // varying fastest.
 type factor struct {
@@ -164,17 +164,6 @@ func (f *factor) restrict(v, val int) *factor {
 	return out
 }
 
-func containsInt(s []int, v int) bool { return indexOfInt(s, v) >= 0 }
-
-func indexOfInt(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // cptFactor converts node i's CPT into a factor over {parents..., i}.
 func (n *Network) cptFactor(i int) *factor {
 	node := &n.Nodes[i]
@@ -211,12 +200,13 @@ func (n *Network) cptFactor(i int) *factor {
 	return f
 }
 
-// Posterior returns P(target | evidence) as a distribution over the
-// target's levels, computed exactly by variable elimination. evidence maps
-// node index to observed value; the target must not be in the evidence.
-// If the evidence has zero probability under the network, the uniform
-// distribution is returned (no information).
-func (n *Network) Posterior(target int, evidence map[int]int) []float64 {
+// referencePosterior is the variable-elimination engine that preceded
+// the compiled kernel, kept verbatim as the bit-identity oracle for
+// PosteriorInto: per-call CPT factors, a restrict chain per evidence
+// variable, and div/mod product and sumOut over freshly allocated
+// factors. Every floating-point operation it performs, and their order,
+// is the contract the kernel reproduces.
+func referencePosterior(n *Network, target int, evidence map[int]int) []float64 {
 	if target < 0 || target >= len(n.Nodes) {
 		panic(fmt.Sprintf("bayesnet: Posterior target %d outside [0,%d)", target, len(n.Nodes)))
 	}
@@ -224,16 +214,10 @@ func (n *Network) Posterior(target int, evidence map[int]int) []float64 {
 		panic(fmt.Sprintf("bayesnet: Posterior target %d is in the evidence", target))
 	}
 
-	// Build CPT factors restricted by evidence, from the per-node cache.
-	if n.factors == nil {
-		n.factors = make([]*factor, len(n.Nodes))
-		for i := range n.Nodes {
-			n.factors[i] = n.cptFactor(i)
-		}
-	}
+	// Build CPT factors restricted by evidence.
 	factors := make([]*factor, 0, len(n.Nodes))
 	for i := range n.Nodes {
-		f := n.factors[i]
+		f := n.cptFactor(i)
 		for v, val := range evidence {
 			f = f.restrict(v, val) // returns f unchanged when v is absent
 		}

@@ -80,7 +80,8 @@ type Options struct {
 	// missing-value posteriors. When nil, the preprocessing step learns
 	// one from the dataset's complete rows (LearnOpts), falling back to
 	// independent empirical marginals when there are too few complete
-	// rows.
+	// rows. Inference only reads the network, so one Net may be shared
+	// by any number of concurrent queries.
 	Net *bayesnet.Network
 	// LearnOpts tunes structure learning when Net is nil.
 	LearnOpts bayesnet.LearnOptions

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"bayescrowd/internal/bayesnet"
 	"bayescrowd/internal/ctable"
@@ -111,46 +109,27 @@ func checkNetSchema(d *dataset.Dataset, net *bayesnet.Network) error {
 	return nil
 }
 
-// posteriors runs exact inference once per distinct (target attribute,
-// observed-profile) pair, caching across objects with identical evidence.
+// posteriors runs exact inference once per missing cell, conditioning on
+// the object's observed cells. Distinct (target, evidence) pairs are
+// about as many as missing cells on realistic data, so there is nothing
+// to memoise.
 func posteriors(d *dataset.Dataset, net *bayesnet.Network) prob.Dists {
 	dists := prob.Dists{}
-	cache := map[string][]float64{}
-	var key strings.Builder
+	evidence := make([]int, d.NumAttrs())
 	for i := range d.Objects {
 		o := &d.Objects[i]
-		var evidence map[int]int
 		for j, c := range o.Cells {
-			if c.Missing {
-				continue
-			}
-			if evidence == nil {
-				evidence = map[int]int{}
-			}
 			evidence[j] = c.Value
+			if c.Missing {
+				evidence[j] = -1
+			}
 		}
 		for j, c := range o.Cells {
-			if !c.Missing {
-				continue
+			if c.Missing {
+				dist := make([]float64, net.Nodes[j].Levels)
+				net.PosteriorInto(j, evidence, dist)
+				dists[ctable.Var{Obj: i, Attr: j}] = dist
 			}
-			key.Reset()
-			key.WriteString(strconv.Itoa(j))
-			key.WriteByte('|')
-			for a := 0; a < len(o.Cells); a++ {
-				if v, ok := evidence[a]; ok {
-					key.WriteString(strconv.Itoa(a))
-					key.WriteByte(':')
-					key.WriteString(strconv.Itoa(v))
-					key.WriteByte(',')
-				}
-			}
-			k := key.String()
-			dist, ok := cache[k]
-			if !ok {
-				dist = net.Posterior(j, evidence)
-				cache[k] = dist
-			}
-			dists[ctable.Var{Obj: i, Attr: j}] = dist
 		}
 	}
 	return dists

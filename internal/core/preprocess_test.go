@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"bayescrowd/internal/bayesnet"
@@ -156,8 +157,8 @@ func TestConditionDist(t *testing.T) {
 }
 
 func TestPosteriorCacheConsistency(t *testing.T) {
-	// Objects with identical observed profiles must share identical
-	// posterior slices (cache hit), and different profiles must differ.
+	// Objects with identical observed profiles must get bitwise-equal
+	// posteriors, and different profiles must differ.
 	net := bayesnet.MustNew([]bayesnet.Node{
 		{Name: "a1", Levels: 2, CPT: []float64{0.5, 0.5}},
 		{Name: "a2", Levels: 2, Parents: []int{0}, CPT: []float64{0.8, 0.2, 0.2, 0.8}},
@@ -170,8 +171,10 @@ func TestPosteriorCacheConsistency(t *testing.T) {
 	x := dists[ctable.Var{Obj: 0, Attr: 1}]
 	y := dists[ctable.Var{Obj: 1, Attr: 1}]
 	z := dists[ctable.Var{Obj: 2, Attr: 1}]
-	if &x[0] != &y[0] {
-		t.Error("identical evidence did not share the cached posterior")
+	for v := range x {
+		if math.Float64bits(x[v]) != math.Float64bits(y[v]) {
+			t.Errorf("identical evidence gave posteriors %v and %v", x, y)
+		}
 	}
 	if math.Abs(x[1]-z[1]) < 1e-9 {
 		t.Error("different evidence produced identical posteriors")
@@ -234,5 +237,72 @@ func TestImputerErrorSurfaces(t *testing.T) {
 	platform := crowd.NewSimulated(d, 1.0, nil)
 	if _, err := Run(d, platform, Options{Budget: 1, Latency: 1, Imputer: failingImputer{}}); err == nil {
 		t.Fatal("Run swallowed the imputer error")
+	}
+}
+
+// nbaWithNet returns an NBA-shaped dataset of n rows with 10% of cells
+// missing and a network learned from it.
+func nbaWithNet(tb testing.TB, seed int64, n int) (*dataset.Dataset, *bayesnet.Network) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d := dataset.GenNBA(rng, n).InjectMissing(rng, 0.1)
+	net, err := LearnNetwork(d, bayesnet.LearnOptions{Rng: rng})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d, net
+}
+
+func TestPreprocessSharedNetConcurrent(t *testing.T) {
+	// Options.Net documents sharing one network across queries: eight
+	// concurrent preprocessing runs over one fresh network must race on
+	// nothing and match a sequential run bit for bit.
+	d, net := nbaWithNet(t, 29, 500)
+	const runs = 8
+	got := make([]prob.Dists, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for r := 0; r < runs; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r], errs[r] = Preprocess(d, Options{Net: net})
+		}(r)
+	}
+	wg.Wait()
+	want, err := Preprocess(d, Options{Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range got {
+		if errs[r] != nil {
+			t.Fatalf("run %d: %v", r, errs[r])
+		}
+		if len(got[r]) != len(want) {
+			t.Fatalf("run %d: %d distributions, want %d", r, len(got[r]), len(want))
+		}
+		for v, w := range want {
+			g := got[r][v]
+			if len(g) != len(w) {
+				t.Fatalf("run %d: %v has %d levels, want %d", r, v, len(g), len(w))
+			}
+			for k := range w {
+				if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+					t.Fatalf("run %d: %v = %v, sequential %v", r, v, g, w)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkPreprocessNBA10k(b *testing.B) {
+	d, net := nbaWithNet(b, 1, 10_000)
+	opt := Options{Net: net}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Preprocess(d, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
