@@ -72,7 +72,6 @@ func main() {
 		alpha       = flag.Float64("alpha", 0.01, "Get-CTable pruning threshold (0 disables)")
 		netPath     = flag.String("net", "", "Bayesian network JSON from cmd/bnlearn (default: learn from the data)")
 		workers     = flag.Int("workers", 0, "goroutines for the parallel phases; 0 = one per CPU, 1 = sequential (results are identical either way)")
-		nocache     = flag.Bool("nocache", false, "score candidate tasks by full-formula probes instead of the component scan (results are identical either way)")
 		approxThr   = flag.Int("approxthreshold", 0, "estimate components with more than this many variables by sampling (deterministic, ~0.05 absolute error); 0 = always exact")
 		dropProb    = flag.Float64("dropprob", 0, "fault injection: per-task probability the answer is dropped")
 		outageProb  = flag.Float64("outageprob", 0, "fault injection: per-round probability the platform fails outright")
@@ -176,9 +175,8 @@ func main() {
 		}
 		err := runStream(data, streamFlags{
 			window: *window, span: *span, arrivals: *arrivals, topk: *topk,
-			workers: *workers, noCache: *nocache,
-			verbose: *verbose,
-			budget:  *crowdBudget, deadline: *deadline, perTick: *perTick,
+			workers: *workers, verbose: *verbose,
+			budget: *crowdBudget, deadline: *deadline, perTick: *perTick,
 			strategy: strat, m: *m,
 		}, crowdPlatform, rand.New(rand.NewSource(*seed+1)), rec, registry)
 		if err != nil {
@@ -225,7 +223,6 @@ func main() {
 		Strategy:        strat,
 		M:               *m,
 		Workers:         *workers,
-		NoCache:         *nocache,
 		ApproxThreshold: *approxThr,
 		MaxRetries:      *maxRetries,
 		RetryBackoff:    *backoff,
@@ -334,7 +331,6 @@ type streamFlags struct {
 	arrivals int
 	topk     int
 	workers  int
-	noCache  bool
 	verbose  bool
 	// Crowd loop knobs; budget 0 keeps the stream machine-only.
 	budget   int
@@ -368,7 +364,6 @@ func runStream(data *bayescrowd.Dataset, f streamFlags, platform *bayescrowd.Unr
 		Strategy:     f.strategy,
 		M:            f.m,
 		Rng:          rng,
-		NoCache:      f.noCache,
 	}
 	if platform != nil {
 		cfg.Platform = platform

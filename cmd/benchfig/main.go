@@ -7,12 +7,12 @@
 //
 //	benchfig -all                 # every experiment at quick scale
 //	benchfig -exp fig4            # one experiment
-//	benchfig -exp scale,cache     # several, comma-separated
+//	benchfig -exp scale,stream    # several, comma-separated
 //	benchfig -exp fig5 -scale paper
 //	benchfig -list                # available experiment ids
 //
-//	benchfig -exp scale,cache -json report.json
-//	benchfig -exp scale,cache -baseline BENCH_baseline.json -tolerance 0.2
+//	benchfig -exp scale,stream -json report.json
+//	benchfig -exp scale,stream -baseline BENCH_baseline.json -tolerance 0.2
 //
 // The quick scale (default) shrinks cardinalities so the suite finishes in
 // seconds while preserving the experimental shapes; the paper scale
@@ -41,7 +41,6 @@ func main() {
 		scaleFlag = flag.String("scale", "quick", `experiment scale: "quick" or "paper"`)
 		allFlag   = flag.Bool("all", false, "run every experiment")
 		listFlag  = flag.Bool("list", false, "list experiment ids and exit")
-		noCache   = flag.Bool("nocache", false, "score candidates by full-formula probes instead of the component scan in measured runs (the cache experiment always measures both modes)")
 		jsonFlag  = flag.String("json", "", "write the run's metrics as a JSON report to this file")
 		baseFlag  = flag.String("baseline", "", "compare the run's metrics against this committed report; regressions exit non-zero")
 		tolFlag   = flag.Float64("tolerance", 0.20, "relative tolerance band for -baseline (0.20 = fail below 80% of baseline)")
@@ -66,7 +65,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchfig: unknown scale %q (want quick or paper)\n", *scaleFlag)
 		os.Exit(2)
 	}
-	scale.NoCache = *noCache
 	if *maxNFlag > 0 {
 		var ns []int
 		for _, n := range scale.ScaleNs {

@@ -23,7 +23,6 @@ var Descriptions = map[string]string{
 	"ablation":      "answer propagation on/off; BN vs autoencoder vs marginals",
 	"motivation":    "machine-only ISkyline vs inference-only vs budgeted BayesCrowd",
 	"workers":       "parallel scaling: c-table build and Pr(phi) fan-out vs worker count",
-	"cache":         "component-memoization ablation: crowdsourcing phase with the Pr(phi) cache on vs off",
 	"faults":        "fault tolerance: monetary cost and round inflation vs answer-drop rate, three strategies",
 	"obs":           "observability overhead: crowdsourcing phase timed with tracing/metrics disabled, no-op, aggregated, and fully traced",
 	"scale":         "raw-speed push: sort-based c-table build scaling to 1M objects, and the compiled Pr(phi) engine vs the seed replica on the NBA selection phase",
@@ -52,7 +51,6 @@ var Experiments = map[string]func(Scale) ([]*Table, error){
 	"ablation":      Ablation,
 	"motivation":    Motivation,
 	"workers":       WorkersScaling,
-	"cache":         CacheExperiment,
 	"faults":        FaultsExperiment,
 	"obs":           ObsOverhead,
 	"scale":         ScaleExperiment,
@@ -67,7 +65,7 @@ var Experiments = map[string]func(Scale) ([]*Table, error){
 var presentationOrder = []string{
 	"fig2", "fig3", "fig3-ablation", "fig4", "fig5", "fig6", "fig7",
 	"fig8", "fig9", "fig10", "fig11", "table6", "ablation", "motivation",
-	"workers", "cache", "faults", "obs", "scale", "stream", "streamcrowd",
+	"workers", "faults", "obs", "scale", "stream", "streamcrowd",
 }
 
 // Names returns the experiment ids in stable presentation order.

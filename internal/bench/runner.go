@@ -141,13 +141,13 @@ var strategies = []core.Strategy{core.FBS, core.UBS, core.HHS}
 func nbaOpts(s Scale, strat core.Strategy) core.Options {
 	return core.Options{
 		Alpha: s.NBAAlpha, Budget: s.NBABudget, Latency: s.NBALatency,
-		Strategy: strat, M: s.NBAM, Workers: s.Workers, NoCache: s.NoCache,
+		Strategy: strat, M: s.NBAM, Workers: s.Workers,
 	}
 }
 
 func synOpts(s Scale, strat core.Strategy) core.Options {
 	return core.Options{
 		Alpha: s.SynAlpha, Budget: s.SynBudget, Latency: s.SynLatency,
-		Strategy: strat, M: s.SynM, Workers: s.Workers, NoCache: s.NoCache,
+		Strategy: strat, M: s.SynM, Workers: s.Workers,
 	}
 }

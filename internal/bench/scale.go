@@ -63,11 +63,6 @@ type Scale struct {
 	Workers      int
 	WorkerCounts []int
 
-	// NoCache scores candidates by full-formula probes instead of the
-	// component scan in every measured run (core.Options.NoCache) — the
-	// "cache" experiment ignores it and always measures both modes.
-	NoCache bool
-
 	// DropRates is the per-task answer-drop sweep of the "faults"
 	// experiment; 0 is the fault-free baseline the inflation columns are
 	// relative to.

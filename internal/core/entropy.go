@@ -22,40 +22,27 @@ func Entropy(p float64) float64 {
 // e from the condition (Definition 6, Eq. 4-5): the expected entropy
 // reduction of the object's membership after learning e's truth value.
 func Utility(ev *prob.Evaluator, cond *ctable.Condition, e ctable.Expr) float64 {
-	return UtilityWith(ev, cond, e, ev.Prob(cond))
-}
-
-// UtilityWith is Utility with Pr(φ) supplied by the caller, saving one
-// model-counting run per expression when scanning a condition.
-func UtilityWith(ev *prob.Evaluator, cond *ctable.Condition, e ctable.Expr, pPhi float64) float64 {
+	pPhi := ev.Prob(cond)
 	pe, _, pTrue, pFalse := ev.CondProbsWith(cond, e, pPhi)
 	expected := pe*Entropy(pTrue) + (1-pe)*Entropy(pFalse)
 	return Entropy(pPhi) - expected
 }
 
-// UtilitiesWith scores every expression of a candidate scan at once,
-// fanning the independent Pr(φ∧e) model-counting runs across at most
-// workers goroutines. out[i] pairs with exprs[i], and each score is
-// computed wholly by one worker, so the vector is bit-identical to a
-// sequential scan at any worker count.
-func UtilitiesWith(ev *prob.Evaluator, cond *ctable.Condition, exprs []ctable.Expr, pPhi float64, workers int) []float64 {
-	out := make([]float64, len(exprs))
-	parallel.For(workers, len(exprs), func(_, i int) {
-		out[i] = UtilityWith(ev, cond, exprs[i], pPhi)
-	})
-	return out
-}
-
-// UtilityScan is UtilityWith through a component scan: the condition's
+// UtilityScan is Utility through a component scan: the condition's
 // untouched components contribute a precomputed product instead of being
-// re-solved for every candidate. The scan carries its own Pr(φ).
+// re-solved for every candidate. The two factor the same product in a
+// different order, so they agree within 1e-12. The scan carries its own
+// Pr(φ).
 func UtilityScan(scan *prob.CondScan, e ctable.Expr) float64 {
 	pe, pPhi, pTrue, pFalse := scan.CondProbs(e)
 	expected := pe*Entropy(pTrue) + (1-pe)*Entropy(pFalse)
 	return Entropy(pPhi) - expected
 }
 
-// UtilitiesScan is UtilitiesWith through a component scan. Scoring the
+// UtilitiesScan scores every expression of a candidate set through one
+// component scan, fanning the candidates across at most workers
+// goroutines; out[i] pairs with exprs[i] and is computed wholly by one
+// worker, so the vector is bit-identical at any worker count. Scoring the
 // whole candidate set at once is what lets the scan plan marginal
 // sweeps — one shared model-counting pass per heavily-probed component
 // instead of one run per candidate. PlanSweeps runs before the fan-out,

@@ -114,14 +114,6 @@ type Options struct {
 	// the benchmark harness's in-run speedup measurement.
 	LegacyProb bool
 
-	// NoCache scores UBS/HHS candidates by full-formula Pr(φ∧e) probes
-	// (prob.Evaluator.CondProbsWith) instead of the per-condition
-	// component scan (prob.CondScan), which re-solves only the component
-	// a candidate touches. The two agree within 1e-12 and give the same
-	// answers; NoCache changes only wall-clock time. The name is shared
-	// with the CLI's -nocache flag and the daemon's noCache field.
-	NoCache bool
-
 	// Workers bounds the goroutines the framework fans independent work
 	// out to: the c-table dominator scan and CNF construction, the
 	// per-object Pr(φ) computation and per-round recomputation, and the

@@ -31,7 +31,7 @@ func selectBatch(opt Options, ct *ctable.CTable, ev *prob.Evaluator, probs map[i
 // the conflict set — the streaming loop passes the variables of its
 // in-flight tasks so a question is never posted twice concurrently.
 // Only opt's selection knobs are consulted (Strategy, M, Workers, Rng,
-// TaskCost, NoCache, Trace); opt.Rng must be non-nil.
+// TaskCost, Trace); opt.Rng must be non-nil.
 func SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *prob.Evaluator, probs map[int]float64, k int, busy map[ctable.Var]bool) []crowd.Task {
 	type candidate struct {
 		obj int
@@ -153,13 +153,11 @@ func pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi floa
 		// fan out wholesale over a component scan of the condition —
 		// each candidate re-solves only the component holding its
 		// variables, with the rest of the formula contributing the scan's
-		// precomputed product. Under NoCache the legacy path re-solves the
-		// whole formula per candidate; the two paths agree within 1e-12
-		// (they factor the same product in a different order), and the
-		// cache experiment measures their gap.
-		// The argmax scan below visits the scores in the same order as
-		// the sequential loop did.
-		gains := utilitiesFor(opt, ev, cond, avail, pPhi)
+		// precomputed product. The scores agree with Utility's
+		// full-formula probes within 1e-12 (they factor the same product
+		// in a different order). The argmax scan below visits the scores
+		// in the same order as the sequential loop did.
+		gains := UtilitiesScan(ev.NewCondScan(cond, pPhi), avail, opt.Workers)
 		best, bestG := avail[0], -1.0
 		for i, e := range avail {
 			if gains[i] > bestG {
@@ -177,14 +175,12 @@ func pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi floa
 		// decision, because the scan below applies the identical
 		// early-stop rule to identical values. One worker keeps the lazy
 		// sequential scan and today's exact work profile.
+		scan := ev.NewCondScan(cond, pPhi)
 		var gain func(i int) float64
 		if opt.Workers > 1 {
-			gains := utilitiesFor(opt, ev, cond, avail, pPhi)
+			gains := UtilitiesScan(scan, avail, opt.Workers)
 			gain = func(i int) float64 { return gains[i] }
-		} else if opt.NoCache {
-			gain = func(i int) float64 { return UtilityWith(ev, cond, avail[i], pPhi) }
 		} else {
-			scan := ev.NewCondScan(cond, pPhi)
 			scan.PlanSweeps(avail)
 			gain = func(i int) float64 { return UtilityScan(scan, avail[i]) }
 		}
@@ -207,18 +203,6 @@ func pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi floa
 	default:
 		panic("core: unknown strategy")
 	}
-}
-
-// utilitiesFor scores every candidate expression: through a component
-// scan of the condition by default (one small re-solve per candidate),
-// or through full-formula probes under Options.NoCache (the legacy cost
-// profile the cache experiment compares against).
-func utilitiesFor(opt Options, ev *prob.Evaluator, cond *ctable.Condition, avail []ctable.Expr, pPhi float64) []float64 {
-	if opt.NoCache {
-		return UtilitiesWith(ev, cond, avail, pPhi, opt.Workers)
-	}
-	scan := ev.NewCondScan(cond, pPhi)
-	return UtilitiesScan(scan, avail, opt.Workers)
 }
 
 // availableExprs returns the condition's distinct expressions whose

@@ -343,7 +343,9 @@ func (ev *Evaluator) CondProbs(c *ctable.Condition, e ctable.Expr) (pe, pPhi, pT
 
 // CondProbsWith is CondProbs with Pr(φ) supplied by the caller, saving one
 // model-counting run when the same condition is probed for many
-// expressions (the UBS/HHS inner loop).
+// expressions. It re-solves the whole condition per expression; UBS/HHS
+// score candidates through CondScan instead, and core.Utility keeps this
+// full-formula probe as the reference the scan is tested against.
 func (ev *Evaluator) CondProbsWith(c *ctable.Condition, e ctable.Expr, pPhiKnown float64) (pe, pPhi, pTrue, pFalse float64) {
 	pe = ev.ExprProb(e)
 	pPhi = pPhiKnown

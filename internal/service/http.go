@@ -77,10 +77,6 @@ type QueryRequest struct {
 	MaxRetries     int  `json:"maxRetries,omitempty"`
 	ChargeOnPost   bool `json:"chargeOnPost,omitempty"`
 	ReaskConflicts int  `json:"reaskConflicts,omitempty"`
-	// NoCache scores this query's candidate tasks by full-formula probes
-	// instead of the component scan (core.Options.NoCache); the answers
-	// are the same.
-	NoCache bool `json:"noCache,omitempty"`
 	// Seed seeds the query's tie-breaking RNG; 0 selects the library
 	// default (seed 1). Two queries with the same dataset, options, seed
 	// and answers return identical results.

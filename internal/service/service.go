@@ -373,7 +373,6 @@ func (s *Server) SubmitQuery(req QueryRequest) (*QueryStatus, error) {
 		MaxRetries:     req.MaxRetries,
 		ChargeOnPost:   req.ChargeOnPost,
 		ReaskConflicts: req.ReaskConflicts,
-		NoCache:        req.NoCache,
 		Metrics:        s.reg,
 		OnRound: func(round, _, undecided int) {
 			q.mu.Lock()

@@ -524,6 +524,9 @@ func TestHTTPErrors(t *testing.T) {
 	checkError("POST", ts.URL+"/v1/queries", QueryRequest{Dataset: "nope", Budget: 5, Latency: 1}, http.StatusBadRequest)
 	checkError("POST", ts.URL+"/v1/queries", QueryRequest{Dataset: "d", Budget: 0, Latency: 1}, http.StatusBadRequest)
 	checkError("POST", ts.URL+"/v1/queries", QueryRequest{Dataset: "d", Budget: 5, Latency: 1, Strategy: "XXX"}, http.StatusBadRequest)
+	// Unknown fields are rejected, so a request naming a removed option
+	// fails loudly instead of being silently ignored.
+	checkError("POST", ts.URL+"/v1/queries", json.RawMessage(`{"dataset":"d","budget":5,"latency":1,"noCache":true}`), http.StatusBadRequest)
 	checkError("GET", ts.URL+"/v1/queries/q999", nil, http.StatusNotFound)
 	checkError("GET", ts.URL+"/v1/queries/q999/trace", nil, http.StatusNotFound)
 	checkError("POST", ts.URL+"/v1/answers/t999", AnswerRequest{Rel: "<"}, http.StatusNotFound)

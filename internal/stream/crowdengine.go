@@ -55,9 +55,6 @@ type CrowdConfig struct {
 	// positive; seed it — together with the platform's seed it fully
 	// determines the run.
 	Rng *rand.Rand
-	// NoCache scores candidates by full-formula probes instead of the
-	// component scan (core.Options.NoCache); answers are unchanged.
-	NoCache bool
 }
 
 // CrowdLedger is the per-tick staleness ledger — what the crowd loop
@@ -248,7 +245,6 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		Strategy: cfg.Strategy,
 		M:        cfg.M,
 		Workers:  parallel.Workers(cfg.Workers),
-		NoCache:  cfg.NoCache,
 		Rng:      cfg.Rng,
 		Trace:    cfg.Obs,
 	}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -303,57 +302,6 @@ func TestCrowdPromptAnswersImprove(t *testing.T) {
 	}
 	if !diverged {
 		t.Fatal("absorbed answers never changed a probability — the crowd loop is inert")
-	}
-}
-
-// TestCrowdNoCacheInvariance checks CrowdConfig.NoCache end to end:
-// scoring candidates by full-formula probes instead of the component
-// scan changes no selected task, ledger or answer set, and no
-// probability beyond float noise, on every tick.
-func TestCrowdNoCacheInvariance(t *testing.T) {
-	for _, strat := range []core.Strategy{core.UBS, core.HHS} {
-		rng := rand.New(rand.NewSource(96))
-		sc := genCrowdScript(rng, 30, 2, 0.4)
-		mk := func(noCache bool) *CrowdEngine {
-			sim := crowd.NewSimulated(sc.truth, 0.85, rand.New(rand.NewSource(31)))
-			platform := crowd.NewUnreliable(sim, 0.15, 0.05, 0.1, rand.New(rand.NewSource(32)))
-			platform.MinDelay, platform.MaxDelay = 0, 2
-			ce, err := NewCrowd(CrowdConfig{
-				Config:       Config{Attrs: sc.attrs, Window: Window{Count: 10}, TopK: 4, Workers: 1},
-				Platform:     platform,
-				Budget:       50,
-				TasksPerTick: 2,
-				TaskDeadline: 3,
-				Strategy:     strat,
-				M:            2,
-				Rng:          rand.New(rand.NewSource(33)),
-				NoCache:      noCache,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ce
-		}
-		scan, full := mk(false), mk(true)
-		for tick, batch := range sc.ticks {
-			rs := scan.Tick(int64(tick), batch)
-			rf := full.Tick(int64(tick), batch)
-			if !reflect.DeepEqual(rs.Answers, rf.Answers) || rs.Crowd != rf.Crowd || rs.BudgetSpent != rf.BudgetSpent {
-				t.Fatalf("%v tick %d: scan and full-formula scoring diverge\n scan: %+v\n full: %+v", strat, tick, rs, rf)
-			}
-			ss, sf := scan.Snapshot(), full.Snapshot()
-			for i := range ss {
-				if ss[i].ID != sf[i].ID || math.Abs(ss[i].P-sf[i].P) > 1e-12 {
-					t.Fatalf("%v tick %d: Pr(φ) drifts: %v vs %v", strat, tick, ss[i], sf[i])
-				}
-			}
-		}
-		if scan.Totals() != full.Totals() {
-			t.Fatalf("%v: run ledgers differ: %+v vs %+v", strat, scan.Totals(), full.Totals())
-		}
-		if scan.Totals().Absorbed == 0 {
-			t.Fatalf("%v: no answer was absorbed — the scoring paths were never compared", strat)
-		}
 	}
 }
 
